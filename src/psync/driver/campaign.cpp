@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/json.hpp"
 #include "psync/core/trace.hpp"
 
 namespace psync::driver {
@@ -173,226 +174,62 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-struct Cursor {
-  const char* p;
-  const char* end;  // points at the string's NUL terminator
-};
-
-void skip_ws(Cursor* c) {
-  while (c->p < c->end &&
-         (*c->p == ' ' || *c->p == '\t' || *c->p == '\r' || *c->p == '\n')) {
-    ++c->p;
-  }
-}
-
-bool expect(Cursor* c, char ch) {
-  skip_ws(c);
-  if (c->p < c->end && *c->p == ch) {
-    ++c->p;
-    return true;
-  }
-  return false;
-}
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!expect(c, '"')) return false;
-  out->clear();
-  while (c->p < c->end) {
-    const char ch = *c->p++;
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out->push_back(ch);
-      continue;
-    }
-    if (c->p >= c->end) return false;
-    const char esc = *c->p++;
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (c->end - c->p < 4) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = *c->p++;
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        // Our escaper only emits \u00XX for control bytes; decode the BMP
-        // point as UTF-8 and leave surrogate pairs unsupported.
-        if (code < 0x80) {
-          out->push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool parse_double(Cursor* c, double* out) {
-  skip_ws(c);
-  char* endp = nullptr;
-  const double v = std::strtod(c->p, &endp);
-  if (endp == c->p || endp > c->end) return false;
-  c->p = endp;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(Cursor* c, std::uint64_t* out) {
-  skip_ws(c);
-  if (c->p >= c->end || *c->p < '0' || *c->p > '9') return false;
-  char* endp = nullptr;
-  const unsigned long long v = std::strtoull(c->p, &endp, 10);
-  if (endp == c->p || endp > c->end) return false;
-  c->p = endp;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-// Capture one JSON value verbatim (balanced braces/brackets, string-aware);
-// used for the raw machine-report fragments and for skipping unknown keys.
-bool capture_value(Cursor* c, std::string* out) {
-  skip_ws(c);
-  if (c->p >= c->end) return false;
-  const char* start = c->p;
-  if (*c->p == '"') {
-    std::string ignored;
-    if (!parse_string(c, &ignored)) return false;
-    out->assign(start, static_cast<std::size_t>(c->p - start));
-    return true;
-  }
-  if (*c->p == '{' || *c->p == '[') {
-    int depth = 0;
-    bool in_string = false;
-    while (c->p < c->end) {
-      const char ch = *c->p++;
-      if (in_string) {
-        if (ch == '\\') {
-          if (c->p < c->end) ++c->p;
-        } else if (ch == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (ch == '"') in_string = true;
-      else if (ch == '{' || ch == '[') ++depth;
-      else if (ch == '}' || ch == ']') {
-        --depth;
-        if (depth == 0) {
-          out->assign(start, static_cast<std::size_t>(c->p - start));
-          return true;
-        }
-      }
-    }
-    return false;  // unbalanced (truncated line)
-  }
-  // Scalar: number / true / false / null.
-  while (c->p < c->end && *c->p != ',' && *c->p != '}' && *c->p != ']' &&
-         *c->p != ' ' && *c->p != '\t') {
-    ++c->p;
-  }
-  if (c->p == start) return false;
-  out->assign(start, static_cast<std::size_t>(c->p - start));
-  return true;
-}
-
 // [["name",value],...] for knobs; [["name",value,decimals],...] for metrics.
-bool parse_pair_array(Cursor* c, bool with_decimals,
+bool parse_pair_array(JsonReader* r, bool with_decimals,
                       std::vector<std::pair<std::string, double>>* knobs,
                       std::vector<Metric>* metrics) {
-  if (!expect(c, '[')) return false;
-  if (expect(c, ']')) return true;
+  if (!r->eat('[')) return false;
+  if (r->eat(']')) return true;
   while (true) {
-    if (!expect(c, '[')) return false;
     std::string name;
     double value = 0.0;
-    if (!parse_string(c, &name)) return false;
-    if (!expect(c, ',')) return false;
-    if (!parse_double(c, &value)) return false;
+    if (!r->eat('[') || !r->string(&name) || !r->eat(',') ||
+        !r->number(&value)) {
+      return false;
+    }
     if (with_decimals) {
+      // An int written as one; the range check keeps the cast defined.
       double decimals = 0.0;
-      if (!expect(c, ',')) return false;
-      if (!parse_double(c, &decimals)) return false;
+      if (!r->eat(',') || !r->number(&decimals) ||
+          !(decimals >= INT_MIN && decimals <= INT_MAX)) {
+        return false;
+      }
       metrics->push_back({name, value, static_cast<int>(decimals)});
     } else {
       knobs->push_back({name, value});
     }
-    if (!expect(c, ']')) return false;
-    if (expect(c, ']')) return true;
-    if (!expect(c, ',')) return false;
+    if (!r->eat(']')) return false;
+    if (r->eat(']')) return true;
+    if (!r->eat(',')) return false;
   }
 }
 
-bool parse_failure(Cursor* c, PointFailure* out) {
-  if (!expect(c, '{')) return false;
+bool parse_failure(JsonReader* r, PointFailure* out) {
+  if (!r->eat('{')) return false;
   bool saw_kind = false;
   while (true) {
     std::string key;
-    if (!parse_string(c, &key)) return false;
-    if (!expect(c, ':')) return false;
+    if (!r->string(&key) || !r->eat(':')) return false;
     if (key == "kind") {
       std::string kind;
-      if (!parse_string(c, &kind)) return false;
+      if (!r->string(&kind)) return false;
       out->kind = failure_kind_from_string(kind);
       saw_kind = true;
     } else if (key == "message") {
-      if (!parse_string(c, &out->message)) return false;
+      if (!r->string(&out->message)) return false;
     } else if (key == "attempts") {
       std::uint64_t attempts = 0;
-      if (!parse_u64(c, &attempts)) return false;
+      if (!r->u64(&attempts)) return false;
       out->attempts = static_cast<std::size_t>(attempts);
-    } else {
-      std::string ignored;
-      if (!capture_value(c, &ignored)) return false;
+    } else if (!r->skip_value()) {
+      return false;
     }
-    if (expect(c, '}')) return saw_kind;
-    if (!expect(c, ',')) return false;
+    if (r->eat('}')) return saw_kind;
+    if (!r->eat(',')) return false;
   }
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char raw : s) {
-    const unsigned char ch = static_cast<unsigned char>(raw);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (ch < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  return out;
-}
 
 std::string journal_line(const RunRecord& rec, std::uint64_t seed,
                          std::uint64_t point_digest) {
@@ -435,75 +272,72 @@ std::string journal_line(const RunRecord& rec, std::uint64_t seed,
 }
 
 bool parse_journal_line(const std::string& line, JournalEntry* out) {
-  Cursor c{line.c_str(), line.c_str() + line.size()};
+  JsonReader r(line);
   JournalEntry entry;
   bool saw_version = false, saw_index = false, saw_seed = false,
        saw_workload = false, saw_status = false;
   try {
-    if (!expect(&c, '{')) return false;
+    if (!r.eat('{')) return false;
     while (true) {
       std::string key;
-      if (!parse_string(&c, &key)) return false;
-      if (!expect(&c, ':')) return false;
+      if (!r.string(&key) || !r.eat(':')) return false;
       if (key == "v") {
         std::uint64_t v = 0;
-        if (!parse_u64(&c, &v) || v != 1) return false;
+        if (!r.u64(&v) || v != 1) return false;
         saw_version = true;
       } else if (key == "index") {
         std::uint64_t idx = 0;
-        if (!parse_u64(&c, &idx)) return false;
+        if (!r.u64(&idx)) return false;
         entry.rec.index = static_cast<std::size_t>(idx);
         saw_index = true;
       } else if (key == "seed") {
-        if (!parse_u64(&c, &entry.seed)) return false;
+        if (!r.u64(&entry.seed)) return false;
         saw_seed = true;
       } else if (key == "pd") {
-        if (!parse_u64(&c, &entry.point_digest)) return false;
+        if (!r.u64(&entry.point_digest)) return false;
       } else if (key == "workload") {
-        if (!parse_string(&c, &entry.rec.workload)) return false;
+        if (!r.string(&entry.rec.workload)) return false;
         saw_workload = true;
       } else if (key == "status") {
         std::string status;
-        if (!parse_string(&c, &status)) return false;
+        if (!r.string(&status)) return false;
         entry.rec.status = point_status_from_string(status);
         saw_status = true;
       } else if (key == "retries") {
         std::uint64_t retries = 0;
-        if (!parse_u64(&c, &retries)) return false;
+        if (!r.u64(&retries)) return false;
         entry.rec.retries = static_cast<std::size_t>(retries);
       } else if (key == "wall_ms") {
         // Informational only: wall time is never serialized into reports,
         // so a resumed record keeps wall_ns = 0.
         double ignored = 0.0;
-        if (!parse_double(&c, &ignored)) return false;
+        if (!r.number(&ignored)) return false;
       } else if (key == "knobs") {
-        if (!parse_pair_array(&c, false, &entry.rec.knobs, nullptr)) {
+        if (!parse_pair_array(&r, false, &entry.rec.knobs, nullptr)) {
           return false;
         }
       } else if (key == "metrics") {
-        if (!parse_pair_array(&c, true, nullptr, &entry.rec.metrics)) {
+        if (!parse_pair_array(&r, true, nullptr, &entry.rec.metrics)) {
           return false;
         }
       } else if (key == "failure") {
         PointFailure failure;
-        if (!parse_failure(&c, &failure)) return false;
+        if (!parse_failure(&r, &failure)) return false;
         entry.rec.failure = failure;
       } else if (key == "psync") {
-        if (!capture_value(&c, &entry.rec.psync_json)) return false;
+        if (!r.raw_value(&entry.rec.psync_json)) return false;
       } else if (key == "mesh") {
-        if (!capture_value(&c, &entry.rec.mesh_json)) return false;
-      } else {
-        std::string ignored;
-        if (!capture_value(&c, &ignored)) return false;
+        if (!r.raw_value(&entry.rec.mesh_json)) return false;
+      } else if (!r.skip_value()) {
+        return false;
       }
-      if (expect(&c, '}')) break;
-      if (!expect(&c, ',')) return false;
+      if (r.eat('}')) break;
+      if (!r.eat(',')) return false;
     }
   } catch (const SimulationError&) {
     return false;  // unknown status / failure-kind text
   }
-  skip_ws(&c);
-  if (c.p != c.end) return false;  // trailing garbage
+  if (!r.at_end()) return false;  // trailing garbage
   if (!saw_version || !saw_index || !saw_seed || !saw_workload || !saw_status) {
     return false;
   }

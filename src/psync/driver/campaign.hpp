@@ -152,7 +152,4 @@ std::string journal_line(const RunRecord& rec, std::uint64_t seed,
 /// safe to drop.
 bool parse_journal_line(const std::string& line, JournalEntry* out);
 
-/// Minimal JSON string escaping (backslash, quote, control chars).
-std::string json_escape(const std::string& s);
-
 }  // namespace psync::driver

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "psync/common/check.hpp"
+#include "psync/common/json.hpp"
 #include "psync/common/table.hpp"
 #include "psync/core/trace.hpp"
 #include "psync/driver/session.hpp"

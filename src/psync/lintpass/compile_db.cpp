@@ -1,133 +1,19 @@
 #include "psync/lintpass/compile_db.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "psync/common/json.hpp"
 
 namespace psync::lintpass {
 namespace {
 
-// Minimal recursive-descent JSON reader. Values the caller does not need
-// (command/arguments/output) are parsed and discarded.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
+// Every reader failure becomes the module's typed error.
+void need(const JsonReader& r, bool ok) {
+  if (!ok) {
+    throw CompileDbError(std::string("compile_commands.json: ") + r.error() +
+                         " at offset " + std::to_string(r.error_offset()));
   }
-
-  [[nodiscard]] bool try_consume(char c) {
-    skip_ws();
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    skip_ws();
-    if (peek() != '"') fail("expected string");
-    ++pos_;
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u':
-            // File paths in practice are ASCII; keep the escape verbatim
-            // rather than decoding UTF-16 surrogates.
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            out += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          default: fail("bad escape");
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  // Parse and discard any JSON value.
-  void skip_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '"') {
-      parse_string();
-    } else if (c == '{') {
-      ++pos_;
-      if (try_consume('}')) return;
-      do {
-        parse_string();
-        expect(':');
-        skip_value();
-      } while (try_consume(','));
-      expect('}');
-    } else if (c == '[') {
-      ++pos_;
-      if (try_consume(']')) return;
-      do {
-        skip_value();
-      } while (try_consume(','));
-      expect(']');
-    } else if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-') {
-      while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(peek())) != 0 ||
-              peek() == '-' || peek() == '+' || peek() == '.' ||
-              peek() == 'e' || peek() == 'E')) {
-        ++pos_;
-      }
-    } else if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-    } else {
-      fail("unexpected value");
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() const {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw CompileDbError("compile_commands.json: " + what + " at offset " +
-                         std::to_string(pos_));
-  }
-
-  std::size_t pos_ = 0;
-
- private:
-  const std::string& text_;
-};
+}
 
 std::string join_path(const std::string& dir, const std::string& file) {
   if (!file.empty() && file.front() == '/') return file;
@@ -165,33 +51,34 @@ std::string normalize(const std::string& path) {
 std::vector<std::string> compile_db_files(const std::string& json_text) {
   JsonReader r(json_text);
   std::vector<std::string> files;
-  r.expect('[');
-  if (!r.try_consume(']')) {
+  need(r, r.eat('['));
+  if (!r.eat(']')) {
     do {
-      r.expect('{');
+      need(r, r.eat('{'));
       std::string dir;
       std::string file;
-      if (!r.try_consume('}')) {
+      if (!r.eat('}')) {
         do {
-          const std::string key = r.parse_string();
-          r.expect(':');
+          std::string key;
+          need(r, r.string(&key) && r.eat(':'));
           if (key == "directory") {
-            dir = r.parse_string();
+            need(r, r.string(&dir));
           } else if (key == "file") {
-            file = r.parse_string();
+            need(r, r.string(&file));
           } else {
-            r.skip_value();
+            need(r, r.skip_value());
           }
-        } while (r.try_consume(','));
-        r.expect('}');
+        } while (r.eat(','));
+        need(r, r.eat('}'));
       }
       if (file.empty()) {
         throw CompileDbError("compile_commands.json: entry without \"file\"");
       }
       files.push_back(normalize(join_path(dir, file)));
-    } while (r.try_consume(','));
-    r.expect(']');
+    } while (r.eat(','));
+    need(r, r.eat(']'));
   }
+  need(r, r.at_end());
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
   return files;

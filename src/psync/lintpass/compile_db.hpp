@@ -1,10 +1,9 @@
 // Reader for compile_commands.json (the clang JSON compilation database).
 //
 // psync_lint needs exactly two things from it: the set of first-party
-// translation units, and a repo root to relativize paths against. The
-// parser is a small strict JSON subset reader (arrays, objects, strings
-// with escapes, numbers, bools, null) — enough for every database CMake
-// emits — and fails loudly on anything malformed rather than guessing.
+// translation units, and a repo root to relativize paths against. The text
+// goes through the strict common/json reader, and anything malformed fails
+// loudly as a CompileDbError rather than being guessed at.
 #pragma once
 
 #include <stdexcept>

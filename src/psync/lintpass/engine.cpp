@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "psync/common/json.hpp"
 #include "psync/lintpass/lexer.hpp"
 #include "psync/lintpass/rules.hpp"
 
@@ -70,30 +71,6 @@ bool parse_suppression(const std::string& rel_path, const Token& comment,
   }
   *out = Suppression{rel_path, comment.end_line, rule, reason, 0};
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(c >> 4) & 0xF]);
-          out.push_back(kHex[c & 0xF]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -1,28 +1,12 @@
 #include "psync/perf/bench_report.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 
 #include "psync/common/check.hpp"
+#include "psync/common/json.hpp"
 
 namespace psync::perf {
 namespace {
-
-void append_escaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -30,145 +14,43 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-// --- minimal parser for the JSON bench_report_json emits ---------------
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!eat(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        out.push_back(e == 'n' ? '\n' : e);
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected bool");
-    return false;
-  }
-
-  /// Skip any value (used for keys added by future schema versions).
-  void skip_value() {
-    skip_ws();
-    if (peek('"')) {
-      parse_string();
-    } else if (eat('[')) {
-      if (!eat(']')) {
-        do {
-          skip_value();
-        } while (eat(','));
-        expect(']');
-      }
-    } else if (eat('{')) {
-      if (!eat('}')) {
-        do {
-          parse_string();
-          expect(':');
-          skip_value();
-        } while (eat(','));
-        expect('}');
-      }
-    } else if (peek('t') || peek('f')) {
-      parse_bool();
-    } else {
-      parse_number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
+// Every reader failure becomes the module's typed error.
+void need(const JsonReader& r, bool ok) {
+  if (!ok) {
     throw SimulationError("bench report parse error at offset " +
-                          std::to_string(pos_) + ": " + what);
+                          std::to_string(r.error_offset()) + ": " +
+                          r.error());
   }
+}
 
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-BenchEntry parse_entry(Cursor& cur) {
+BenchEntry parse_entry(JsonReader* r) {
   BenchEntry e;
-  cur.expect('{');
-  if (!cur.eat('}')) {
+  need(*r, r->eat('{'));
+  if (!r->eat('}')) {
     do {
-      const std::string key = cur.parse_string();
-      cur.expect(':');
+      std::string key;
+      need(*r, r->string(&key) && r->eat(':'));
       if (key == "name") {
-        e.name = cur.parse_string();
+        need(*r, r->string(&e.name));
       } else if (key == "wall_ms") {
-        e.wall_ms = cur.parse_number();
+        need(*r, r->number(&e.wall_ms));
       } else if (key == "min_iter_ms") {
-        e.min_iter_ms = cur.parse_number();
+        need(*r, r->number(&e.min_iter_ms));
       } else if (key == "iters") {
-        e.iters = static_cast<std::uint64_t>(cur.parse_number());
+        need(*r, r->u64(&e.iters));
       } else if (key == "events") {
-        e.events = static_cast<std::uint64_t>(cur.parse_number());
+        need(*r, r->u64(&e.events));
       } else if (key == "note") {
-        e.note = cur.parse_string();
+        need(*r, r->string(&e.note));
       } else {
-        cur.skip_value();  // per_iter_ms / events_per_sec are derived
+        need(*r, r->skip_value());  // per_iter_ms / events_per_sec are derived
       }
-    } while (cur.eat(','));
-    cur.expect('}');
+    } while (r->eat(','));
+    need(*r, r->eat('}'));
   }
-  if (e.name.empty()) cur.fail("benchmark entry without a name");
+  if (e.name.empty()) {
+    throw SimulationError("bench report parse error: entry without a name");
+  }
   return e;
 }
 
@@ -191,8 +73,7 @@ std::string bench_report_json(const BenchReport& report) {
   for (std::size_t i = 0; i < report.entries.size(); ++i) {
     const BenchEntry& e = report.entries[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    append_escaped(&out, e.name);
+    out += "    {\"name\": " + json_string(e.name);
     out += ", \"wall_ms\": " + fmt_double(e.wall_ms);
     out += ", \"iters\": " + std::to_string(e.iters);
     out += ", \"per_iter_ms\": " + fmt_double(e.per_iter_ms());
@@ -204,8 +85,7 @@ std::string bench_report_json(const BenchReport& report) {
       out += ", \"events_per_sec\": " + fmt_double(e.events_per_sec());
     }
     if (!e.note.empty()) {
-      out += ", \"note\": ";
-      append_escaped(&out, e.note);
+      out += ", \"note\": " + json_string(e.note);
     }
     out += "}";
   }
@@ -215,30 +95,33 @@ std::string bench_report_json(const BenchReport& report) {
 
 BenchReport parse_bench_report(const std::string& json) {
   BenchReport report;
-  Cursor cur(json);
-  cur.expect('{');
-  if (!cur.eat('}')) {
+  JsonReader r(json);
+  need(r, r.eat('{'));
+  if (!r.eat('}')) {
     do {
-      const std::string key = cur.parse_string();
-      cur.expect(':');
+      std::string key;
+      need(r, r.string(&key) && r.eat(':'));
       if (key == "schema_version") {
-        report.schema_version = static_cast<int>(cur.parse_number());
+        std::uint64_t version = 0;
+        need(r, r.u64(&version));
+        report.schema_version = static_cast<int>(version);
       } else if (key == "quick") {
-        report.quick = cur.parse_bool();
+        need(r, r.boolean(&report.quick));
       } else if (key == "benchmarks") {
-        cur.expect('[');
-        if (!cur.eat(']')) {
+        need(r, r.eat('['));
+        if (!r.eat(']')) {
           do {
-            report.entries.push_back(parse_entry(cur));
-          } while (cur.eat(','));
-          cur.expect(']');
+            report.entries.push_back(parse_entry(&r));
+          } while (r.eat(','));
+          need(r, r.eat(']'));
         }
       } else {
-        cur.skip_value();
+        need(r, r.skip_value());
       }
-    } while (cur.eat(','));
-    cur.expect('}');
+    } while (r.eat(','));
+    need(r, r.eat('}'));
   }
+  need(r, r.at_end());
   return report;
 }
 

@@ -4,8 +4,9 @@
 // results as BENCH_psync.json. The same schema is what CI archives and what
 // the baseline-compare mode reads back: `bench_driver --baseline old.json`
 // re-runs the suite and fails (non-zero exit) if any benchmark regressed by
-// more than the allowed percentage. The parser below is deliberately small
-// and tolerant — it understands exactly the JSON this module writes.
+// more than the allowed percentage. The parser reads through the strict
+// common/json reader, skips keys it does not know (derived fields, keys a
+// later schema adds) and turns any malformed input into a SimulationError.
 #pragma once
 
 #include <cstdint>

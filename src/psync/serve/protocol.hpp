@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <string>
 
+#include "psync/common/json.hpp"
+
 namespace psync::serve {
 
 enum class Op {
@@ -81,8 +83,8 @@ std::string campaign_id(std::uint64_t digest);
 /// Parse the form campaign_id produces; false on anything else.
 bool parse_campaign_id(const std::string& s, std::uint64_t* out);
 
-/// Escape + quote a string as a JSON literal (driver::json_escape rules).
-std::string json_string(const std::string& s);
+/// Escape + quote a string as a JSON literal (common/json.hpp).
+using psync::json_string;
 
 /// One-line error response frame: {"ok":false,"error":code,"message":...}.
 std::string error_frame(const std::string& code, const std::string& message);

@@ -236,6 +236,17 @@ TEST(JournalCodec, RejectsGarbageAndWrongVersion) {
   // Trailing garbage after a well-formed record.
   EXPECT_FALSE(parse_journal_line(journal_line(sample_record(), 1) + "x",
                                   &entry));
+  // An index or seed past 2^64-1 is refused, not clamped to it.
+  const std::string line = journal_line(sample_record(), 1);
+  for (const char* field : {"\"index\":7", "\"seed\":1"}) {
+    std::string overflow = line;
+    const std::size_t at = overflow.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t digits = overflow.find(':', at) + 1;
+    overflow.replace(digits, std::string(field).size() - (digits - at),
+                     "99999999999999999999");
+    EXPECT_FALSE(parse_journal_line(overflow, &entry)) << overflow;
+  }
 }
 
 // ---------------------------------------------------------------------------

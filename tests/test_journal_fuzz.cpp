@@ -1,7 +1,9 @@
-// Journal-reader fuzz suite: the checkpoint journal codec and the shard
-// merge face files written by processes that died at arbitrary
-// instructions. Whatever the bytes, the readers must parse cleanly or
-// raise a *typed* error — never crash, never silently drop a point.
+// Reader fuzz suite: the checkpoint journal codec and the shard merge face
+// files written by processes that died at arbitrary instructions, and the
+// other two file readers on common/json (BENCH_psync.json and
+// compile_commands.json) face hand-edited and half-written files. Whatever
+// the bytes, the readers must parse cleanly or raise a *typed* error —
+// never crash, never silently drop a point.
 //
 // All randomness is a fixed-seed mt19937_64: failures reproduce exactly.
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -20,6 +23,8 @@
 #include "psync/common/journal.hpp"
 #include "psync/dist/merge.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/lintpass/compile_db.hpp"
+#include "psync/perf/bench_report.hpp"
 
 namespace psync::driver {
 namespace {
@@ -200,6 +205,74 @@ TEST(JournalFuzz, RandomShardInterleavingsMergeIdentically) {
     }
     for (const auto& p : paths) std::remove(p.c_str());
   }
+}
+
+// ---------------------------------------------------------------------------
+// BENCH_psync.json and compile_commands.json
+
+/// Parse `text`; true for a value, false for the reader's typed error. Any
+/// other exception is a test failure.
+template <typename TypedError, typename Parse>
+bool parses(const Parse& parse, const std::string& text) {
+  try {
+    parse(text);
+    return true;
+  } catch (const TypedError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped exception '" << e.what() << "' for: " << text;
+    return false;
+  }
+}
+
+/// Every cut short of the document's last byte is the typed error, and
+/// random byte mutations give a value or the typed error, nothing else.
+template <typename TypedError, typename Parse>
+void fuzz_reader(const Parse& parse, const std::string& doc,
+                 std::uint64_t seed) {
+  ASSERT_TRUE(parses<TypedError>(parse, doc));
+  const std::size_t body = doc.find_last_not_of(" \n") + 1;
+  for (std::size_t len = 0; len < body; ++len) {
+    EXPECT_FALSE(parses<TypedError>(parse, doc.substr(0, len)))
+        << "prefix of length " << len << " parsed";
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<std::size_t> pos(0, doc.size() - 1);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string mutated = doc;
+    const std::size_t mutations = 1 + (rng() % 4);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      mutated[pos(rng)] = static_cast<char>(byte(rng));
+    }
+    (void)parses<TypedError>(parse, mutated);
+  }
+}
+
+TEST(JsonReaderFuzz, BenchReportTruncationsAndMutationsStayTyped) {
+  psync::perf::BenchReport report;
+  report.quick = true;
+  report.entries.push_back(
+      {"mesh_drain", 120.5, 1.125, 100, 2'000'000, "idle-skip \"drain\""});
+  report.entries.push_back({"fft_kernel", 50.0, 0.0, 10, 0, "a\\b\nc"});
+  const auto parse = [](const std::string& t) {
+    (void)psync::perf::parse_bench_report(t);
+  };
+  const std::string doc = psync::perf::bench_report_json(report);
+  fuzz_reader<SimulationError>(parse, doc, 0xBE7C4);
+}
+
+TEST(JsonReaderFuzz, CompileDbTruncationsAndMutationsStayTyped) {
+  const std::string db = R"([
+  {"directory": "/repo/build", "command": "c++ -DX=\"y\" -c a.cpp",
+   "file": "../src/psync/core/trace.cpp", "output": "trace.o"},
+  {"directory": "/repo/build", "arguments": ["c++", "-c", "b.cpp", 1, true,
+   null, {"k": []}], "file": "/repo/tools/psync_lint.cpp"}
+])";
+  const auto parse = [](const std::string& t) {
+    (void)psync::lintpass::compile_db_files(t);
+  };
+  fuzz_reader<psync::lintpass::CompileDbError>(parse, db, 0xC0DB);
 }
 
 }  // namespace

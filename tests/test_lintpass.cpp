@@ -389,6 +389,7 @@ TEST(LintCompileDb, MalformedDatabaseThrows) {
                lp::CompileDbError);
   EXPECT_THROW(lp::compile_db_files("[{\"file\": \"x.cpp\""),
                lp::CompileDbError);
+  EXPECT_THROW(lp::compile_db_files("[]garbage"), lp::CompileDbError);
 }
 
 // ------------------------------------------------------------ reporting

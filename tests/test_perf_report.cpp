@@ -57,6 +57,13 @@ TEST(BenchReport, MalformedInputThrows) {
   EXPECT_THROW(parse_bench_report("not json"), SimulationError);
   EXPECT_THROW(parse_bench_report("{\"benchmarks\": [{}]}"), SimulationError);
   EXPECT_THROW(parse_bench_report("{\"quick\": maybe}"), SimulationError);
+  // A sign without digits, a double overflow and trailing input are each
+  // the typed error too, never std::invalid_argument / std::out_of_range.
+  const char* dash = R"({"benchmarks": [{"name": "x", "wall_ms":-}]})";
+  const char* huge = R"({"benchmarks": [{"name": "x", "wall_ms":1e999}]})";
+  EXPECT_THROW(parse_bench_report(dash), SimulationError);
+  EXPECT_THROW(parse_bench_report(huge), SimulationError);
+  EXPECT_THROW(parse_bench_report("{}garbage"), SimulationError);
 }
 
 TEST(BenchCompare, FlagsOnlyRealRegressions) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -543,6 +544,9 @@ TEST(Protocol, EveryMalformedFrameGetsItsTypedError) {
       {"{\"op\":\"status\",\"color\":\"red\"}", FrameError::kUnknownKey},
       {"{\"op\":true}", FrameError::kBadType},
       {"{\"op\":\"submit\",\"threads\":\"many\"}", FrameError::kBadType},
+      // A thread count past 2^64-1 is refused, not clamped to it.
+      {"{\"op\":\"submit\",\"threads\":99999999999999999999}",
+       FrameError::kBadType},
       {"{\"op\":\"submit\"}", FrameError::kMissingField},  // no config
       {"{\"op\":\"status\"}", FrameError::kMissingField},  // no campaign
       {"{\"op\":\"status\",\"campaign\":\"xyz\"}", FrameError::kBadCampaignId},
@@ -575,6 +579,17 @@ TEST(Protocol, TruncationFuzzNeverAcceptsAPrefix) {
     std::string corrupt = frame;
     corrupt[at] = '#';
     EXPECT_NE(parse_request(corrupt, &req), FrameError::kNone) << corrupt;
+  }
+  // Random byte mutations: a request or one of the typed errors, and no
+  // sanitizer report on the way.
+  std::mt19937_64 rng(0xF4A3E);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string mutated = frame;
+    const std::size_t mutations = 1 + rng() % 4;
+    for (std::size_t m = 0; m < mutations; ++m) {
+      mutated[rng() % mutated.size()] = static_cast<char>(rng() % 256);
+    }
+    EXPECT_STRNE(to_string(parse_request(mutated, &req)), "?") << mutated;
   }
 }
 
