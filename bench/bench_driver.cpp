@@ -28,7 +28,9 @@
 #include "psync/driver/session.hpp"
 #include "psync/fft/fft.hpp"
 #include "psync/fft/four_step.hpp"
+#include "psync/mesh/memory_interface.hpp"
 #include "psync/mesh/mesh.hpp"
+#include "psync/mesh/traffic.hpp"
 #include "psync/perf/bench_report.hpp"
 #include "psync/perf/stopwatch.hpp"
 #include "psync/reliability/channel.hpp"
@@ -50,9 +52,13 @@ struct BenchCase {
 };
 
 // --- mesh ---------------------------------------------------------------
+//
+// Mesh entries count flit-hops (activity().link_traversals) as their
+// events: unlike cycles, hops scale with the work a bigger mesh does, and
+// they do not shrink when a fast-forward skips cycles.
 
 std::uint64_t run_mesh_drain_low_load(std::uint64_t iters, bool idle_skip) {
-  std::uint64_t cycles = 0;
+  std::uint64_t hops = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     psync::mesh::MeshParams mp;
     mp.width = 8;
@@ -74,13 +80,13 @@ std::uint64_t run_mesh_drain_low_load(std::uint64_t iters, bool idle_skip) {
       net.inject(d);
     }
     net.run_until_drained(10'000'000);
-    cycles += static_cast<std::uint64_t>(net.cycle());
+    hops += net.activity().link_traversals;
   }
-  return cycles;
+  return hops;
 }
 
 std::uint64_t run_mesh_random_traffic(std::uint64_t iters) {
-  std::uint64_t cycles = 0;
+  std::uint64_t hops = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     psync::mesh::MeshParams mp;
     mp.width = 8;
@@ -100,9 +106,9 @@ std::uint64_t run_mesh_random_traffic(std::uint64_t iters) {
       net.inject(d);
     }
     net.run_until_drained(10'000'000);
-    cycles += static_cast<std::uint64_t>(net.cycle());
+    hops += net.activity().link_traversals;
   }
-  return cycles;
+  return hops;
 }
 
 // Congested stepping at size, with optional hotspot traffic (half of all
@@ -115,7 +121,7 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
   psync::mesh::set_reference_datapath(reference);
   const std::uint32_t nodes = dim * dim;
   const int packets = static_cast<int>(nodes) * 31;  // ~2k at 8x8
-  std::uint64_t cycles = 0;
+  std::uint64_t hops = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     psync::mesh::MeshParams mp;
     mp.width = dim;
@@ -137,10 +143,36 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
       net.inject(d);
     }
     net.run_until_drained(10'000'000);
-    cycles += static_cast<std::uint64_t>(net.cycle());
+    hops += net.activity().link_traversals;
   }
   psync::mesh::set_reference_datapath(saved);
-  return cycles;
+  return hops;
+}
+
+// Transpose writeback into one memory port at t_p = 4: most cycles are the
+// port's reorder/DRAM countdown. With the quiet-cycle fast-forward off
+// (`_naive`) every countdown cycle is stepped, so the pair's ratio is the
+// fast-forward's gain on this host.
+std::uint64_t run_mesh_port_countdown(std::uint64_t iters, bool idle_skip) {
+  std::uint64_t hops = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    psync::mesh::MeshParams mp;
+    mp.width = 8;
+    mp.height = 8;
+    psync::mesh::Mesh net(mp);
+    net.set_idle_skip(idle_skip);
+    const auto traffic =
+        psync::mesh::transpose_writeback_traffic(net, 0, 512, 32);
+    psync::mesh::MemoryInterfaceParams mip;
+    mip.reorder_cycles_per_element = 4;
+    mip.dram.row_switch_cycles = 0;
+    psync::mesh::MemoryInterface mi(mip, 63ULL * 512);
+    net.set_sink(0, &mi);
+    for (const auto& d : traffic) net.inject(d);
+    while (!mi.done(net.cycle())) net.step();
+    hops += net.activity().link_traversals;
+  }
+  return hops;
 }
 
 // --- fft ----------------------------------------------------------------
@@ -375,6 +407,14 @@ std::vector<BenchCase> make_cases() {
                    "same hotspot traffic on the AoS reference datapath",
                    1, 1,
                    [](std::uint64_t n) { return run_mesh_traffic(n, 8, true, true); }});
+  cases.push_back({"mesh_port_countdown",
+                   "8x8 writeback into one t_p=4 memory port, fast-forward on",
+                   10, 3,
+                   [](std::uint64_t n) { return run_mesh_port_countdown(n, true); }});
+  cases.push_back({"mesh_port_countdown_naive",
+                   "same writeback stepping every countdown cycle",
+                   3, 1,
+                   [](std::uint64_t n) { return run_mesh_port_countdown(n, false); }});
   cases.push_back({"fft_kernel_4096",
                    "4096-point forward FFT, fused radix-4 kernel",
                    2000, 200,

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
         net.inject(d);
       }
     }
-    while (!mi.done()) net.step();
+    while (!mi.done(net.cycle())) net.step();
     const auto& lat = net.packet_latency();
     std::printf("\nMesh packet latency: min %.0f / mean %.0f / max %.0f "
                 "cycles (stddev %.0f) over %llu packets\n",

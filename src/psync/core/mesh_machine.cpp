@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "psync/common/check.hpp"
 #include "psync/fft/fft2d.hpp"
@@ -12,15 +13,20 @@ namespace {
 constexpr std::int64_t kMaxPhaseCycles = 400'000'000;
 
 /// Ejection sink for a processor node during delivery phases: stores words
-/// at (head tag + position) into a local buffer and tracks completion.
+/// at (head tag + position) into a local buffer and counts itself into the
+/// phase's `finished` tally when its last expected word lands, so the phase
+/// loop tests completion in O(1) instead of scanning every sink.
 class ProcSink final : public mesh::Sink {
  public:
-  void expect(std::uint64_t elements) { expected_ = elements; }
+  void expect(std::uint64_t elements, std::size_t* finished) {
+    expected_ = elements;
+    finished_ = finished;
+  }
   void attach(std::vector<Word>* buffer) { buffer_ = buffer; }
 
   bool accept(const mesh::Flit& flit, std::int64_t cycle) override {
-    if (used_) return false;
-    used_ = true;
+    if (cycle == used_cycle_) return false;  // one flit per cycle
+    used_cycle_ = cycle;
     if (flit.is_head() && !flit.is_tail()) {
       base_ = flit.payload;
       pos_ = 0;
@@ -31,28 +37,38 @@ class ProcSink final : public mesh::Sink {
     PSYNC_CHECK_MSG(idx < buffer_->size(), "delivery outside local buffer");
     (*buffer_)[idx] = flit.payload;
     ++pos_;
-    ++received_;
+    if (++received_ == expected_) ++*finished_;
     last_arrival_ = cycle;
     return true;
   }
 
-  void step(std::int64_t) override { used_ = false; }
-
-  bool done() const { return received_ >= expected_; }
   std::int64_t last_arrival() const { return last_arrival_; }
-  std::uint64_t received() const { return received_; }
 
  private:
   std::vector<Word>* buffer_ = nullptr;
+  std::size_t* finished_ = nullptr;
   std::uint64_t expected_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t base_ = 0;
   std::uint64_t pos_ = 0;
   std::int64_t last_arrival_ = 0;
-  bool used_ = false;
+  std::int64_t used_cycle_ = -1;
 };
 
 }  // namespace
+
+template <typename Done>
+void MeshMachine::step_until(mesh::Mesh& net, Done done,
+                             const char* phase) const {
+  std::uint64_t steps = 0;
+  while (!done()) {
+    if ((++steps & 0xFFF) == 0 && cancel_ != nullptr) cancel_->poll();
+    net.step();
+    if (net.cycle() > kMaxPhaseCycles) {
+      throw DivergenceError(std::string(phase) + ": exceeded cycle cap");
+    }
+  }
+}
 
 MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
   if (params_.grid == 0) throw ConfigError("MeshMachine: zero grid");
@@ -89,14 +105,8 @@ TransposeRunReport MeshMachine::run_transpose_writeback(
     }
   }
 
-  std::uint64_t steps = 0;
-  while (!mi.done()) {
-    poll_cancel(&steps);
-    net.step();
-    if (net.cycle() > kMaxPhaseCycles) {
-      throw DivergenceError("run_transpose_writeback: exceeded cycle cap");
-    }
-  }
+  step_until(net, [&] { return mi.done(net.cycle()); },
+             "run_transpose_writeback");
 
   TransposeRunReport rep;
   rep.completion_cycle = mi.completion_cycle();
@@ -149,20 +159,14 @@ TransposeRunReport MeshMachine::run_transpose_writeback_multiport(
     }
   }
 
-  auto all_done = [&] {
-    for (const auto& mi : mis) {
-      if (!mi->done()) return false;
-    }
-    return true;
-  };
-  std::uint64_t steps = 0;
-  while (!all_done()) {
-    poll_cancel(&steps);
-    net.step();
-    if (net.cycle() > kMaxPhaseCycles) {
-      throw DivergenceError("multiport transpose: exceeded cycle cap");
-    }
-  }
+  step_until(
+      net,
+      [&] {
+        return std::all_of(mis.begin(), mis.end(), [&](const auto& mi) {
+          return mi->done(net.cycle());
+        });
+      },
+      "multiport transpose");
 
   TransposeRunReport rep;
   for (const auto& mi : mis) {
@@ -219,8 +223,9 @@ MeshRunReport MeshMachine::run_fft2d(
     mesh::Mesh net(params_.net);
     std::vector<ProcSink> sinks(P);
     std::vector<std::vector<Word>> local(P, std::vector<Word>(per_proc));
+    std::size_t finished = per_proc == 0 ? P : 0;
     for (std::size_t i = 0; i < P; ++i) {
-      sinks[i].expect(per_proc);
+      sinks[i].expect(per_proc, &finished);
       sinks[i].attach(&local[i]);
       net.set_sink(static_cast<mesh::NodeId>(i), &sinks[i]);
     }
@@ -237,20 +242,7 @@ MeshRunReport MeshMachine::run_fft2d(
         net.inject(d);
       }
     }
-    auto all_done = [&] {
-      for (const auto& s : sinks) {
-        if (!s.done()) return false;
-      }
-      return true;
-    };
-    std::uint64_t steps = 0;
-    while (!all_done()) {
-      poll_cancel(&steps);
-      net.step();
-      if (net.cycle() > kMaxPhaseCycles) {
-        throw DivergenceError("MeshMachine delivery: exceeded cycle cap");
-      }
-    }
+    step_until(net, [&] { return finished == P; }, "MeshMachine delivery");
     std::vector<double> done_ns(P);
     double last = start_ns;
     for (std::size_t i = 0; i < P; ++i) {
@@ -302,14 +294,8 @@ MeshRunReport MeshMachine::run_fft2d(
         net.inject(d);
       }
     }
-    std::uint64_t steps = 0;
-    while (!mi.done()) {
-      poll_cancel(&steps);
-      net.step();
-      if (net.cycle() > kMaxPhaseCycles) {
-        throw DivergenceError("MeshMachine writeback: exceeded cycle cap");
-      }
-    }
+    step_until(net, [&] { return mi.done(net.cycle()); },
+               "MeshMachine writeback");
     phase.start_ns = t0;
     phase.end_ns = t0 + static_cast<double>(mi.completion_cycle()) * cycle_ns();
     accumulate(net.activity());

@@ -108,11 +108,11 @@ class MeshMachine {
  private:
   double cycle_ns() const { return 1.0 / params_.clock_ghz; }
 
-  /// One cycle-batch boundary inside a stepping loop: bump the caller's
-  /// step counter and poll the cancel token every 4096 steps.
-  void poll_cancel(std::uint64_t* steps) const {
-    if ((++*steps & 0xFFF) == 0 && cancel_ != nullptr) cancel_->poll();
-  }
+  /// Steps `net` until `done()` holds, polling the cancel token every 4096
+  /// steps. A phase whose cycle count passes the cap, by stepping or by a
+  /// quiet-cycle jump, throws DivergenceError("<phase>: exceeded cycle cap").
+  template <typename Done>
+  void step_until(mesh::Mesh& net, Done done, const char* phase) const;
 
   MeshMachineParams params_;
   std::vector<Word> image_;

@@ -1,5 +1,7 @@
 #include "psync/mesh/memory_interface.hpp"
 
+#include <algorithm>
+
 #include "psync/common/check.hpp"
 
 namespace psync::mesh {
@@ -21,11 +23,12 @@ std::uint64_t MemoryInterface::row_write_cost(std::uint64_t rows) const {
 }
 
 bool MemoryInterface::accept(const Flit& flit, std::int64_t cycle) {
-  PSYNC_CHECK(cycle == now_);
-  if (accepted_this_cycle_) return false;
+  PSYNC_CHECK_MSG(cycle >= now_, "MemoryInterface: accept cycle went back");
+  now_ = cycle;
+  if (cycle == accepted_cycle_) return false;
   if (cycle < busy_until_) return false;
 
-  accepted_this_cycle_ = true;
+  accepted_cycle_ = cycle;
   if (flit.is_head() && !flit.is_tail()) {
     // Address header: decode is covered by the ejection cycle itself.
     packet_elements_ = 0;
@@ -79,13 +82,12 @@ bool MemoryInterface::accept(const Flit& flit, std::int64_t cycle) {
   return true;
 }
 
-void MemoryInterface::step(std::int64_t cycle) {
-  now_ = cycle;
-  accepted_this_cycle_ = false;
+std::int64_t MemoryInterface::ready_cycle(std::int64_t cycle) const {
+  return std::max(cycle + 1, busy_until_);
 }
 
-bool MemoryInterface::done() const {
-  return elements_received_ == expected_elements_ && now_ >= busy_until_;
+bool MemoryInterface::done(std::int64_t cycle) const {
+  return elements_received_ == expected_elements_ && cycle > busy_until_;
 }
 
 }  // namespace psync::mesh

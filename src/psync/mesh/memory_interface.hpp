@@ -47,11 +47,15 @@ class MemoryInterface final : public Sink {
   void set_collector(Collector c) { collector_ = std::move(c); }
 
   bool accept(const Flit& flit, std::int64_t cycle) override;
-  void step(std::int64_t cycle) override;
+  /// A refused flit waits out the reorder/DRAM countdown, so this is the
+  /// cycle the countdown ends (the mesh may skip straight there).
+  std::int64_t ready_cycle(std::int64_t cycle) const override;
 
-  /// All expected elements received, reordered and written to DRAM.
-  bool done() const;
-  /// Cycle at which the final DRAM write completed (valid once done()).
+  /// All expected elements received, reordered and written to DRAM, seen
+  /// from a mesh whose cycle() is `cycle`: true once the port's last busy
+  /// cycle has been stepped.
+  bool done(std::int64_t cycle) const;
+  /// Cycle at which the final DRAM write completed (valid once done(...)).
   std::int64_t completion_cycle() const { return completion_cycle_; }
 
   std::uint64_t elements_received() const { return elements_received_; }
@@ -67,10 +71,13 @@ class MemoryInterface final : public Sink {
   std::uint64_t elements_received_ = 0;
   std::uint64_t packets_received_ = 0;
 
-  // Per-cycle ejection budget (the port accepts one flit per cycle).
-  bool accepted_this_cycle_ = false;
-  // The interface is busy (not accepting) until this cycle.
-  std::int64_t busy_until_ = 0;
+  // Per-cycle ejection budget (the port accepts one flit per cycle): the
+  // cycle of the last accepted flit.
+  std::int64_t accepted_cycle_ = -1;
+  // The interface is busy (not accepting) until this cycle; -1 before the
+  // first packet, so an interface expecting nothing is done at cycle 0.
+  std::int64_t busy_until_ = -1;
+  // The latest cycle a flit was offered at (offers never go backwards).
   std::int64_t now_ = 0;
   std::int64_t completion_cycle_ = -1;
 

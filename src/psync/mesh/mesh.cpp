@@ -226,7 +226,6 @@ void Mesh::set_sink(NodeId node, Sink* sink) {
   PSYNC_CHECK(sink != nullptr);
   sinks_[node] = sink;
   consume_sink_[node] = sink->as_consume();
-  if (sink->needs_step()) stepped_sinks_.push_back(node);
 }
 
 void Mesh::lane_word_set(std::uint8_t* a, std::uint32_t g, std::uint8_t v) {
@@ -656,7 +655,7 @@ void Mesh::update_routing_generic(NodeId n) {
   }
 }
 
-bool Mesh::serve_outputs_generic(NodeId n) {
+bool Mesh::serve_outputs_generic(NodeId n, bool* refused) {
   bool progress = false;
   const std::uint32_t base = n * stride_;
   const std::uint32_t v = vcs();
@@ -688,7 +687,10 @@ bool Mesh::serve_outputs_generic(NodeId n) {
     const auto i = static_cast<std::uint32_t>(chosen);
     const bool served =
         o == kPortLocal ? eject_flit(n, i) : (hop_flit(n, i, o), true);
-    if (!served) continue;
+    if (!served) {  // only an eject can fail: the sink refused
+      *refused = true;
+      continue;
+    }
     progress = true;
     const std::uint32_t next_rr = i + 1;
     rr_next_[static_cast<std::size_t>(n) * kPorts +
@@ -700,7 +702,8 @@ bool Mesh::serve_outputs_generic(NodeId n) {
 
 void Mesh::step_router_generic(NodeId n) {
   update_routing_generic(n);
-  bool progress = serve_outputs_generic(n);
+  bool refused = false;
+  bool progress = serve_outputs_generic(n, &refused);
   progress |= serve_injection(n);
 
   // Sources with pending injections stay active only while some local
@@ -716,6 +719,7 @@ void Mesh::step_router_generic(NodeId n) {
       }
     }
   }
+  bool eject_blocked = false;
   if (!keep) {
     const std::uint32_t base = n * stride_;
     for (std::uint32_t i = 0; i < vc_total_ && !keep; ++i) {
@@ -726,11 +730,22 @@ void Mesh::step_router_generic(NodeId n) {
       // Eject-blocked inputs must retry the sink every cycle.
       if (vc_count_[base + i] > 0 &&
           vc_route_[base + i] == static_cast<std::int8_t>(kPortLocal)) {
-        keep = true;
+        eject_blocked = true;
       }
     }
   }
-  if (keep) activate(n);
+  if (keep) {
+    activate(n);
+  } else if (eject_blocked) {
+    // Held awake by nothing but a refused eject: a quiet-cycle waiter.
+    activate(n);
+    if (refused) add_waiter(n);
+  }
+}
+
+void Mesh::add_waiter(NodeId n) {
+  ++waiters_;
+  wake_ = std::min(wake_, sinks_[n]->ready_cycle(cycle_));
 }
 
 std::uint32_t Mesh::step_router_packed(NodeId n) {
@@ -756,7 +771,10 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
         activate(n);
         return 1;
       }
-      activate(n);  // eject-blocked: retry the sink next cycle
+      // Eject-blocked: retry the sink next cycle. The hint implies nothing
+      // else is pending here, so the router is a quiet-cycle waiter.
+      activate(n);
+      add_waiter(n);
       return 0;
     }
     if (credits_[n * 8u + o] > 0) {
@@ -852,6 +870,7 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
   // per-output credit test folds into the mask up front, so the only
   // data-dependent branches left are the serve loops themselves.
   bool progress = false;
+  bool refused = false;  // the sink turned the eject down
   std::uint8_t new_hint = kNoHint8;
   std::uint32_t ejected = 0;
   const std::uint64_t ready = occ & ~rt_none & ~ov_none;
@@ -867,6 +886,7 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
       if (o == static_cast<std::uint32_t>(kPortLocal)) {
         progress = eject_flit_packed(n, i, w);
         ejected = progress ? 1u : 0u;
+        refused = !progress;
       } else if (credits_[base + o] > 0) {
         hop_flit_packed(n, i, o, w);
         progress = true;
@@ -907,6 +927,8 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
         if (eject_flit_packed(n, i, a_slot_[slot_base(g) + vc_head_[g]])) {
           progress = true;
           ejected = 1;
+        } else {
+          refused = true;
         }
       }
     }
@@ -947,9 +969,14 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
   // cycle until its route resolves.)
   bool keep = q_head_[n] != kNil && ((cnt >> 32) & 0xFF) < depth;
   if (!keep) keep = any_routing;  // a t_r countdown must tick every cycle
-  // Eject-blocked inputs must retry the sink every cycle.
-  if (!keep) keep = (occ & bytes_eq(rt, 4)) != 0;
-  if (keep) activate(n);
+  if (keep) {
+    activate(n);
+  } else if ((occ & bytes_eq(rt, 4)) != 0) {
+    // Eject-blocked inputs must retry the sink every cycle; held awake by
+    // nothing but a refused eject, the router is a quiet-cycle waiter.
+    activate(n);
+    if (refused) add_waiter(n);
+  }
   return 0;
 }
 
@@ -959,14 +986,9 @@ std::uint32_t Mesh::step_router_packed(NodeId n) {
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((flatten))
 #endif
-void Mesh::step() {
-  if (ref_) {
-    ref_->step();
-    return;
-  }
-  // Explicitly attached sinks see the new cycle first so their per-cycle
-  // budgets reset (default sinks are self-clocked).
-  for (NodeId n : stepped_sinks_) sinks_[n]->step(cycle_);
+void Mesh::advance(std::int64_t limit) {
+  waiters_ = 0;
+  wake_ = std::numeric_limits<std::int64_t>::max();
 
   // Release due packets (in cycle order; push order within a cycle is id
   // order, matching the old priority queue's tiebreak). next_release_due_
@@ -1047,6 +1069,29 @@ void Mesh::step() {
   credit_returns_.clear();
 
   ++cycle_;
+
+  // Quiet-cycle fast-forward. A router that hopped, ejected or injected a
+  // flit wakes itself and is never a waiter, and credits and arrivals
+  // only follow such moves, so when every router left awake is a waiter,
+  // nothing moved and each following cycle repeats the same refusals
+  // until either a release fires or a waiter's sink could accept: jump
+  // straight to the earlier. No waiters and no release due means nothing
+  // is scheduled at all; plain stepping continues then.
+  if (idle_skip_ && next_active_size_ == waiters_) {
+    const std::int64_t to = std::min(next_release_due_, wake_);
+    if (to != std::numeric_limits<std::int64_t>::max()) {
+      PSYNC_DCHECK(to >= cycle_);
+      cycle_ = std::min(to, limit);
+    }
+  }
+}
+
+void Mesh::step() {
+  if (ref_) {
+    ref_->step();
+    return;
+  }
+  advance(std::numeric_limits<std::int64_t>::max());
 }
 
 bool Mesh::drained() const {
@@ -1063,21 +1108,7 @@ bool Mesh::run_until_drained(std::int64_t max_cycles) {
   }
   const std::size_t packets_before = packet_inject_cycle_.size();
   const std::int64_t limit = cycle_ + max_cycles;
-  while (!drained() && cycle_ < limit) {
-    // Idle fast-forward: with no flit buffered, nothing queued for
-    // injection, and no router scheduled to wake, the network state cannot
-    // change until the next release fires — every intervening step() would
-    // be a no-op (sinks are quiescent when nothing is in flight). Jump
-    // straight to that cycle.
-    if (idle_skip_ && in_flight_flits_ == 0 && queued_flits_ == 0 &&
-        next_active_size_ == 0 && !releases_.empty()) {
-      if (next_release_due_ > cycle_) {
-        cycle_ = next_release_due_ < limit ? next_release_due_ : limit;
-        continue;
-      }
-    }
-    step();
-  }
+  while (!drained() && cycle_ < limit) advance(limit);
   PSYNC_CHECK_MSG(packet_inject_cycle_.size() == packets_before,
                   "packet table resized mid-drain");
   return drained();

@@ -29,7 +29,20 @@
 // through the reference stepping path for differential checks.
 //
 // Ejection at a node goes to a Sink; memory interfaces (memory_interface.hpp)
-// and simple consumers implement this interface.
+// and simple consumers implement this interface. Sinks are self-clocked:
+// the mesh never ticks them, so per-cycle budgets come from the cycle that
+// accept() is given, and Sink::ready_cycle() tells the mesh when a refused
+// accept() could next succeed.
+//
+// Quiet-cycle fast-forward: a cycle is quiet when no flit hopped, ejected
+// or injected, no credit came back, and every router left awake is awake
+// only to retry an eject its sink refused (no t_r countdown pending, no
+// injection possible). Every following cycle repeats those refusals and
+// nothing else, so step() jumps to the earlier of the next release and the
+// earliest ready_cycle() of the refusing sinks; with no such router, to
+// the next release. The skipped cycles change no state, fire no counter
+// and make no successful sink call, so results are byte-identical to plain
+// stepping (set_idle_skip(false)).
 #pragma once
 
 #include <cstdint>
@@ -73,19 +86,17 @@ class Mesh {
   /// Queue a packet for injection at its source node.
   void inject(const PacketDesc& desc);
 
-  /// Advance one cycle.
+  /// Advance one cycle, or further after a quiet cycle.
   void step();
 
   /// Run until all injected packets are fully ejected or `max_cycles`
-  /// elapse. Returns true when drained.
+  /// elapse (a quiet-cycle jump stops at that limit). Returns true when
+  /// drained.
   bool run_until_drained(std::int64_t max_cycles);
 
-  /// Idle-cycle fast-forward (on by default): when nothing is buffered,
-  /// queued, or active, run_until_drained() jumps `cycle_` straight to the
-  /// next scheduled release instead of stepping empty cycles one at a time.
-  /// Skipped cycles are observationally idle — no counter, stat, or sink
-  /// callback would have fired — so results are identical either way; the
-  /// toggle exists so equivalence tests can force the naive loop.
+  /// Quiet-cycle fast-forward (on by default; see the file comment).
+  /// Results are identical either way; the toggle exists so equivalence
+  /// tests can force plain stepping.
   void set_idle_skip(bool on) {
     if (ref_) ref_->set_idle_skip(on);
     idle_skip_ = on;
@@ -198,7 +209,13 @@ class Mesh {
   std::uint32_t step_router_packed(NodeId n);
   void step_router_generic(NodeId n);
   void update_routing_generic(NodeId n);
-  bool serve_outputs_generic(NodeId n);
+  // Sets *refused when the sink turned an eject down.
+  bool serve_outputs_generic(NodeId n, bool* refused);
+  // Router n stays awake only to retry a refused eject: count it and fold
+  // its sink's ready_cycle() into wake_.
+  void add_waiter(NodeId n);
+  // One cycle of step(); a quiet cycle jumps no further than `limit`.
+  void advance(std::int64_t limit);
   bool eject_flit(NodeId n, std::uint32_t i);
   void hop_flit(NodeId n, std::uint32_t i, int o);
   // V == 1 specializations used by step_router_packed(): out-VC is always
@@ -319,8 +336,12 @@ class Mesh {
   // Cached Sink::as_consume() downcast per node; non-null lets the ejection
   // path take ConsumeSink::accept_fast() when the sink is not logging.
   std::vector<ConsumeSink*> consume_sink_;
-  std::vector<NodeId> stepped_sinks_;  // explicitly attached, need step()
   std::vector<std::unique_ptr<ConsumeSink>> default_sinks_;
+
+  // Quiet-cycle state, reset by every advance(): routers kept awake only
+  // by a refused eject, and the earliest ready_cycle() of their sinks.
+  std::uint32_t waiters_ = 0;
+  std::int64_t wake_ = std::numeric_limits<std::int64_t>::max();
 
   std::int64_t cycle_ = 0;
   std::uint64_t in_flight_flits_ = 0;

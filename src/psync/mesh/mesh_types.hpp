@@ -30,16 +30,23 @@ struct MeshParams {
 class ConsumeSink;
 
 /// Consumer of ejected flits at a node.
+///
+/// Sinks are self-clocked: the mesh never ticks them, so any per-cycle
+/// budget must be derived from the `cycle` that accept() is given. The
+/// mesh offers at most one flit per node per cycle, with non-decreasing
+/// cycles that may jump forward (see Mesh, quiet cycles).
 class Sink {
  public:
   virtual ~Sink() = default;
   /// Offer a flit this cycle; return false to exert backpressure.
   virtual bool accept(const Flit& flit, std::int64_t cycle) = 0;
-  /// Advance internal state one cycle (called once per mesh cycle).
-  virtual void step(std::int64_t cycle) { (void)cycle; }
-  /// Return false when step() is a no-op; the mesh then skips the per-cycle
-  /// call entirely (a measurable saving with one sink on every node).
-  virtual bool needs_step() const { return true; }
+  /// The first cycle at which accept(), having refused at `cycle`, could
+  /// succeed. The mesh may jump straight there when nothing else can move,
+  /// so an override must never be later than that cycle; the default,
+  /// `cycle + 1`, never lets the mesh skip a retry.
+  virtual std::int64_t ready_cycle(std::int64_t cycle) const {
+    return cycle + 1;
+  }
   /// Non-null when this sink is a plain ConsumeSink; the mesh caches the
   /// downcast at set_sink() time so the ejection hot path can skip both the
   /// virtual dispatch and the Flit reconstruction when the sink is not
@@ -48,12 +55,10 @@ class Sink {
 };
 
 /// Unbounded sink consuming up to `rate` flits per cycle; records stats.
-/// Self-clocked from the cycle passed to accept(), so it needs no step().
 class ConsumeSink final : public Sink {
  public:
   explicit ConsumeSink(std::uint32_t rate = 1) : rate_(rate) {}
   bool accept(const Flit& flit, std::int64_t cycle) override;
-  bool needs_step() const override { return false; }
   ConsumeSink* as_consume() override { return this; }
 
   bool logging() const { return keep_log_; }

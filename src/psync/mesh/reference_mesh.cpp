@@ -82,7 +82,6 @@ void ReferenceMesh::set_sink(NodeId node, Sink* sink) {
   PSYNC_CHECK(node < nodes());
   PSYNC_CHECK(sink != nullptr);
   sinks_[node] = sink;
-  stepped_sinks_.push_back(node);
 }
 
 void ReferenceMesh::fifo_push(InputVc& p, const Flit& f) {
@@ -354,10 +353,6 @@ void ReferenceMesh::expand_packet(PacketId id, const PacketDesc& desc) {
 }
 
 void ReferenceMesh::step() {
-  // Explicitly attached sinks see the new cycle first so their per-cycle
-  // budgets reset (default sinks are self-clocked).
-  for (NodeId n : stepped_sinks_) sinks_[n]->step(cycle_);
-
   // Release due packets (in cycle order; push order within a cycle is id
   // order, matching the old priority queue's tiebreak).
   if (!releases_.empty()) {

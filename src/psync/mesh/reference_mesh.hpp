@@ -116,7 +116,6 @@ class ReferenceMesh {
   MeshParams params_;
   std::vector<Router> routers_;
   std::vector<Sink*> sinks_;
-  std::vector<NodeId> stepped_sinks_;  // explicitly attached, need step()
   std::vector<std::unique_ptr<ConsumeSink>> default_sinks_;
   // Expanded flits awaiting injection, one queue per (node, local VC);
   // packets are assigned to local VCs round-robin.

@@ -38,8 +38,8 @@ TEST(MemoryInterface, PerPacketServiceTimeMatchesStageModel) {
   d.dst = 0;
   d.payload_flits = 32;
   m.inject(d);
-  while (!mi.done() && m.cycle() < 10000) m.step();
-  ASSERT_TRUE(mi.done());
+  while (!mi.done(m.cycle()) && m.cycle() < 10000) m.step();
+  ASSERT_TRUE(mi.done(m.cycle()));
   EXPECT_EQ(mi.elements_received(), 32u);
   EXPECT_EQ(mi.packets_received(), 1u);
   EXPECT_EQ(mi.reorder_stall_cycles(), 32u);
@@ -63,8 +63,8 @@ TEST(MemoryInterface, SteadyStateCyclesPerElement) {
     MemoryInterface mi2(paper_mi(t_p), expected);
     m2.set_sink(0, &mi2);
     for (const auto& d : traffic) m2.inject(d);
-    while (!mi2.done() && m2.cycle() < 2000000) m2.step();
-    ASSERT_TRUE(mi2.done());
+    while (!mi2.done(m2.cycle()) && m2.cycle() < 2000000) m2.step();
+    ASSERT_TRUE(mi2.done(m2.cycle()));
     const double cpe = static_cast<double>(mi2.completion_cycle()) /
                        static_cast<double>(expected);
     const double model = (33.0 + 32.0 * t_p + 33.0) / 32.0;
@@ -83,8 +83,8 @@ TEST(MemoryInterface, OverlappedStagesApproachPortBound) {
   for (const auto& d : transpose_writeback_traffic(m, 0, elements, 32)) {
     m.inject(d);
   }
-  while (!mi.done() && m.cycle() < 2000000) m.step();
-  ASSERT_TRUE(mi.done());
+  while (!mi.done(m.cycle()) && m.cycle() < 2000000) m.step();
+  ASSERT_TRUE(mi.done(m.cycle()));
   const double cpe = static_cast<double>(mi.completion_cycle()) /
                      (3.0 * elements);
   // Port-bound: ~33/32 cycles per element.
@@ -110,8 +110,8 @@ TEST(MemoryInterface, CollectorSeesEveryElementWithCorrectTag) {
     for (std::uint32_t i = 0; i < 32; ++i) d.words[i] = 5000u + pkt * 32u + i;
     m.inject(d);
   }
-  while (!mi.done() && m.cycle() < 10000) m.step();
-  ASSERT_TRUE(mi.done());
+  while (!mi.done(m.cycle()) && m.cycle() < 10000) m.step();
+  ASSERT_TRUE(mi.done(m.cycle()));
   ASSERT_EQ(collected.size(), 64u);
   for (std::uint64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(collected.count(100 + i));
@@ -129,8 +129,8 @@ TEST(MemoryInterface, PartialFinalRowIsFlushed) {
   d.dst = 0;
   d.payload_flits = 16;
   m.inject(d);
-  while (!mi.done() && m.cycle() < 10000) m.step();
-  ASSERT_TRUE(mi.done());
+  while (!mi.done(m.cycle()) && m.cycle() < 10000) m.step();
+  ASSERT_TRUE(mi.done(m.cycle()));
   EXPECT_EQ(mi.dram_write_cycles(), 33u);  // one (padded) row transaction
 }
 

@@ -5,16 +5,21 @@
 // moments bit for bit, and the per-packet latency log — must match exactly.
 // Patterns cover uniform random, transpose permutation, and hotspot traffic
 // on 8x8 and 16x16 meshes, across seeds, both routing algorithms, and both
-// the packed (V=1) and generic (V=2) VC layouts.
+// the packed (V=1) and generic (V=2) VC layouts. The MeshSoaMachine cases
+// repeat the comparison one level up, on whole MeshMachine runs whose
+// memory-port countdowns drive the SoA path's quiet-cycle fast-forward.
 #include "psync/mesh/mesh.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <complex>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "psync/common/rng.hpp"
+#include "psync/core/mesh_machine.hpp"
 
 namespace psync::mesh {
 namespace {
@@ -242,6 +247,132 @@ TEST(MeshSoaIdentity, IdleSkipIsObservationallyIdentical) {
       }
     }
     expect_identical(runs[0], runs[1]);
+  }
+}
+
+// --- machine level: SoA with quiet-cycle fast-forward vs reference ---------
+
+core::MeshMachineParams machine_params(std::size_t grid, std::uint32_t t_p) {
+  core::MeshMachineParams p;
+  p.grid = grid;
+  p.matrix_rows = grid * grid * 2;
+  p.matrix_cols = grid * grid * 2;
+  p.elements_per_packet = 8;
+  p.mi.reorder_cycles_per_element = t_p;
+  p.mi.dram.row_switch_cycles = 0;
+  return p;
+}
+
+/// Runs `body` on a MeshMachine whose networks take the reference datapath
+/// when `reference` (set_reference_datapath is snapshotted per Mesh).
+template <typename Body>
+auto on_datapath(bool reference, const core::MeshMachineParams& p,
+                 Body body) {
+  set_reference_datapath(reference);
+  core::MeshMachine m(p);
+  auto out = body(m);
+  set_reference_datapath(false);
+  return out;
+}
+
+void expect_same_activity(const MeshActivity& a, const MeshActivity& b) {
+  EXPECT_EQ(a.buffer_writes, b.buffer_writes);
+  EXPECT_EQ(a.buffer_reads, b.buffer_reads);
+  EXPECT_EQ(a.crossbar_traversals, b.crossbar_traversals);
+  EXPECT_EQ(a.link_traversals, b.link_traversals);
+  EXPECT_EQ(a.arbitrations, b.arbitrations);
+  EXPECT_EQ(a.injected_flits, b.injected_flits);
+  EXPECT_EQ(a.ejected_flits, b.ejected_flits);
+  EXPECT_EQ(a.injected_packets, b.injected_packets);
+  EXPECT_EQ(a.ejected_packets, b.ejected_packets);
+}
+
+void expect_same_transpose(const core::TransposeRunReport& a,
+                           const core::TransposeRunReport& b) {
+  EXPECT_EQ(a.completion_cycle, b.completion_cycle);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.completion_ns),
+            std::bit_cast<std::uint64_t>(b.completion_ns));
+  EXPECT_EQ(a.elements, b.elements);
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cycles_per_element),
+            std::bit_cast<std::uint64_t>(b.cycles_per_element));
+  expect_same_activity(a.activity, b.activity);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_packet_latency_cycles),
+            std::bit_cast<std::uint64_t>(b.mean_packet_latency_cycles));
+}
+
+TEST(MeshSoaMachine, Fft2dMatchesReference) {
+  for (std::size_t grid : {4u, 8u}) {
+    const auto p = machine_params(grid, 4);
+    Rng rng(grid);
+    std::vector<std::complex<double>> input(p.matrix_rows * p.matrix_cols);
+    for (auto& v : input) v = {rng.next_double(), rng.next_double() - 0.5};
+    struct Run {
+      core::MeshRunReport rep;
+      std::vector<std::complex<double>> image;
+    };
+    auto run = [&](core::MeshMachine& m) {
+      Run r{m.run_fft2d(input), {}};
+      r.image = m.result();
+      return r;
+    };
+    const Run ref = on_datapath(true, p, run);
+    const Run soa = on_datapath(false, p, run);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+    ASSERT_EQ(ref.rep.phases.size(), soa.rep.phases.size());
+    for (std::size_t i = 0; i < ref.rep.phases.size(); ++i) {
+      EXPECT_EQ(ref.rep.phases[i].name, soa.rep.phases[i].name);
+      EXPECT_EQ(bits(ref.rep.phases[i].start_ns),
+                bits(soa.rep.phases[i].start_ns));
+      EXPECT_EQ(bits(ref.rep.phases[i].end_ns), bits(soa.rep.phases[i].end_ns))
+          << ref.rep.phases[i].name;
+    }
+    EXPECT_EQ(bits(ref.rep.total_ns), bits(soa.rep.total_ns));
+    EXPECT_EQ(bits(ref.rep.reorg_ns), bits(soa.rep.reorg_ns));
+    EXPECT_EQ(ref.rep.flops, soa.rep.flops);
+    EXPECT_EQ(bits(ref.rep.gflops), bits(soa.rep.gflops));
+    EXPECT_EQ(bits(ref.rep.compute_efficiency),
+              bits(soa.rep.compute_efficiency));
+    EXPECT_EQ(bits(ref.rep.max_error_vs_reference),
+              bits(soa.rep.max_error_vs_reference));
+    // The ORION energy is a pure function of the accumulated activity.
+    EXPECT_EQ(bits(ref.rep.comm_energy_pj), bits(soa.rep.comm_energy_pj));
+    EXPECT_EQ(bits(ref.rep.compute_energy_pj),
+              bits(soa.rep.compute_energy_pj));
+    ASSERT_EQ(ref.image.size(), soa.image.size());
+    EXPECT_EQ(std::memcmp(ref.image.data(), soa.image.data(),
+                          ref.image.size() * sizeof(ref.image[0])),
+              0);
+  }
+}
+
+// V = 2 takes the generic router path through the same port countdowns.
+TEST(MeshSoaMachine, TransposeWritebackMatchesReference) {
+  for (std::uint32_t vcs : {1u, 2u}) {
+    for (std::uint32_t t_p : {1u, 4u}) {
+      auto p = machine_params(4, t_p);
+      p.net.virtual_channels = vcs;
+      auto run = [](core::MeshMachine& m) {
+        return m.run_transpose_writeback(64);
+      };
+      expect_same_transpose(on_datapath(true, p, run),
+                            on_datapath(false, p, run));
+    }
+  }
+}
+
+TEST(MeshSoaMachine, MultiportTransposeMatchesReference) {
+  for (std::uint32_t vcs : {1u, 2u}) {
+    for (std::uint32_t ports : {2u, 4u}) {
+      auto p = machine_params(4, 4);
+      p.net.virtual_channels = vcs;
+      auto run = [ports](core::MeshMachine& m) {
+        return m.run_transpose_writeback_multiport(64, ports);
+      };
+      expect_same_transpose(on_datapath(true, p, run),
+                            on_datapath(false, p, run));
+    }
   }
 }
 

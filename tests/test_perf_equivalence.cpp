@@ -5,6 +5,7 @@
 // the fast paths buy wall-clock time, never different answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -41,6 +42,24 @@ struct MeshOutcome {
   }
 };
 
+/// The observables of a drained mesh, with the logs of `sinks[first..]`.
+MeshOutcome outcome_of(const mesh::Mesh& net,
+                       const std::vector<mesh::ConsumeSink>& sinks,
+                       mesh::NodeId first) {
+  MeshOutcome out;
+  out.final_cycle = net.cycle();
+  out.activity = net.activity();
+  out.latency_count = net.packet_latency().count();
+  out.latency_sum = net.packet_latency().sum();
+  out.latency_min = net.packet_latency().min();
+  out.latency_max = net.packet_latency().max();
+  for (mesh::NodeId n = first; n < net.nodes(); ++n) {
+    for (const auto& f : sinks[n].log()) out.payloads.push_back(f.payload);
+    for (std::int64_t c : sinks[n].log_cycles()) out.eject_cycles.push_back(c);
+  }
+  return out;
+}
+
 MeshOutcome run_mesh(const mesh::MeshParams& mp,
                      const std::vector<mesh::PacketDesc>& packets,
                      bool idle_skip) {
@@ -53,19 +72,7 @@ MeshOutcome run_mesh(const mesh::MeshParams& mp,
   }
   for (const auto& d : packets) net.inject(d);
   EXPECT_TRUE(net.run_until_drained(20'000'000));
-
-  MeshOutcome out;
-  out.final_cycle = net.cycle();
-  out.activity = net.activity();
-  out.latency_count = net.packet_latency().count();
-  out.latency_sum = net.packet_latency().sum();
-  out.latency_min = net.packet_latency().min();
-  out.latency_max = net.packet_latency().max();
-  for (mesh::NodeId n = 0; n < net.nodes(); ++n) {
-    for (const auto& f : sinks[n].log()) out.payloads.push_back(f.payload);
-    for (std::int64_t c : sinks[n].log_cycles()) out.eject_cycles.push_back(c);
-  }
-  return out;
+  return outcome_of(net, sinks, 0);
 }
 
 void expect_skip_equivalent(const mesh::MeshParams& mp,
@@ -192,6 +199,238 @@ TEST(MeshIdleSkip, ReleaseAtOrBeforeCurrentCycleIdentical) {
     packets.push_back(d);
   }
   expect_skip_equivalent(mp, packets);
+}
+
+// --- mesh: quiet-cycle fast-forward over a sink countdown -----------------
+
+/// A port shaped like the MemoryInterface without its DRAM model: one flit
+/// per cycle, then busy for `hold` cycles after every tail. With
+/// `report_ready` it tells the mesh when it opens again (ready_cycle);
+/// without, it keeps the Sink default and must be retried every cycle.
+class CountdownSink final : public mesh::Sink {
+ public:
+  CountdownSink(std::int64_t hold, bool report_ready)
+      : hold_(hold), report_ready_(report_ready) {}
+
+  bool accept(const mesh::Flit& flit, std::int64_t cycle) override {
+    offers_.push_back(cycle);
+    if (cycle == accepted_cycle_ || cycle < busy_until_) return false;
+    accepted_cycle_ = cycle;
+    payloads_.push_back(flit.payload);
+    cycles_.push_back(cycle);
+    if (flit.is_tail()) busy_until_ = cycle + 1 + hold_;
+    return true;
+  }
+  std::int64_t ready_cycle(std::int64_t cycle) const override {
+    return report_ready_ ? std::max(cycle + 1, busy_until_)
+                         : mesh::Sink::ready_cycle(cycle);
+  }
+
+  std::vector<std::int64_t> offers_;  // every accept() call's cycle
+  std::vector<std::uint64_t> payloads_;
+  std::vector<std::int64_t> cycles_;
+
+ private:
+  std::int64_t hold_;
+  bool report_ready_;
+  std::int64_t accepted_cycle_ = -1;
+  std::int64_t busy_until_ = 0;
+};
+
+struct CountdownOutcome {
+  MeshOutcome mesh;  // ConsumeSink logs at every other node
+  std::vector<std::uint64_t> port_payloads;
+  std::vector<std::int64_t> port_cycles;
+  std::vector<double> latencies;
+  std::vector<std::int64_t> offers;
+  std::uint64_t steps = 0;
+};
+
+/// Drains `packets` with a CountdownSink at node 0 by calling step() until
+/// drained, counting the calls.
+CountdownOutcome run_countdown(const mesh::MeshParams& mp,
+                               const std::vector<mesh::PacketDesc>& packets,
+                               std::int64_t hold, bool report_ready,
+                               bool idle_skip) {
+  mesh::Mesh net(mp);
+  net.set_idle_skip(idle_skip);
+  net.record_latencies(true);
+  std::vector<mesh::ConsumeSink> sinks(net.nodes());
+  for (mesh::NodeId n = 1; n < net.nodes(); ++n) {
+    sinks[n].keep_log(true);
+    net.set_sink(n, &sinks[n]);
+  }
+  CountdownSink port(hold, report_ready);
+  net.set_sink(0, &port);
+  for (const auto& d : packets) net.inject(d);
+
+  CountdownOutcome out;
+  while (!net.drained() && net.cycle() < 10'000'000) {
+    net.step();
+    ++out.steps;
+  }
+  EXPECT_TRUE(net.drained());
+  out.mesh = outcome_of(net, sinks, 1);
+  out.port_payloads = port.payloads_;
+  out.port_cycles = port.cycles_;
+  out.latencies = net.latencies();
+  out.offers = port.offers_;
+  return out;
+}
+
+void expect_countdown_identical(const CountdownOutcome& fast,
+                                const CountdownOutcome& naive) {
+  EXPECT_TRUE(fast.mesh == naive.mesh)
+      << "cycle " << fast.mesh.final_cycle << " vs " << naive.mesh.final_cycle;
+  EXPECT_EQ(fast.port_payloads, naive.port_payloads);
+  EXPECT_EQ(fast.port_cycles, naive.port_cycles);
+  EXPECT_EQ(fast.latencies, naive.latencies);
+}
+
+/// Every node but the port writes `per_node` packets back to node 0, the
+/// transpose-writeback shape that keeps the port in its countdown.
+std::vector<mesh::PacketDesc> writeback_to_port(std::uint32_t nodes,
+                                                int per_node) {
+  std::vector<mesh::PacketDesc> packets;
+  for (mesh::NodeId n = 1; n < nodes; ++n) {
+    for (int k = 0; k < per_node; ++k) {
+      mesh::PacketDesc d;
+      d.src = n;
+      d.dst = 0;
+      d.payload_flits = 8;
+      d.payload_base = (static_cast<std::uint64_t>(n) << 16) +
+                       static_cast<std::uint64_t>(k) * 8;
+      d.release_cycle = static_cast<std::int64_t>(n) * 5;
+      packets.push_back(d);
+    }
+  }
+  return packets;
+}
+
+TEST(MeshQuietSkip, ReadyCycleSinkMatchesPlainSteppingInFewerSteps) {
+  for (std::uint32_t vcs : {1u, 2u}) {  // packed and generic router paths
+    mesh::MeshParams mp;
+    mp.width = 4;
+    mp.height = 4;
+    mp.virtual_channels = vcs;
+    const auto packets = writeback_to_port(16, 3);
+    const auto fast = run_countdown(mp, packets, 40, true, true);
+    const auto naive = run_countdown(mp, packets, 40, true, false);
+    expect_countdown_identical(fast, naive);
+    EXPECT_EQ(fast.port_payloads.size(), 15u * 3u * 9u);
+    EXPECT_LT(fast.steps, naive.steps) << "V=" << vcs;
+    EXPECT_EQ(naive.steps, static_cast<std::uint64_t>(naive.mesh.final_cycle));
+  }
+}
+
+TEST(MeshQuietSkip, ReleaseInsideACountdownIsNotJumpedOver) {
+  // Node 5 writes one packet to the port, which then counts down for
+  // 10000 cycles with the next packet (from node 6) refused at its door.
+  // A packet released at cycle 3000, to an ordinary sink, must still be
+  // injected and delivered on the cycles plain stepping gives it.
+  for (std::uint32_t vcs : {1u, 2u}) {
+    mesh::MeshParams mp;
+    mp.width = 4;
+    mp.height = 4;
+    mp.virtual_channels = vcs;
+    std::vector<mesh::PacketDesc> packets;
+    mesh::PacketDesc d;
+    d.dst = 0;
+    d.payload_flits = 4;
+    d.src = 5;
+    packets.push_back(d);
+    d.src = 6;
+    d.release_cycle = 20;
+    packets.push_back(d);
+    d.src = 12;
+    d.dst = 15;
+    d.payload_base = 777;
+    d.release_cycle = 3000;
+    packets.push_back(d);
+
+    const auto fast = run_countdown(mp, packets, 10'000, true, true);
+    const auto naive = run_countdown(mp, packets, 10'000, true, false);
+    expect_countdown_identical(fast, naive);
+    ASSERT_EQ(fast.mesh.eject_cycles.size(), 5u);
+    EXPECT_GT(fast.mesh.eject_cycles.front(), 3000);
+    EXPECT_LT(fast.mesh.eject_cycles.back(), 3100);
+    EXPECT_GT(fast.port_cycles.back(), 10'000);
+    EXPECT_LT(fast.steps, naive.steps / 10);
+  }
+}
+
+TEST(MeshQuietSkip, SinkWithoutReadyCycleIsRetriedEveryCycle) {
+  // The same countdown behind the default ready_cycle(): the mesh may not
+  // skip a single retry, so it offers the refused flit on every cycle of
+  // the countdown and steps exactly as often as plain stepping.
+  for (std::uint32_t vcs : {1u, 2u}) {
+    mesh::MeshParams mp;
+    mp.width = 4;
+    mp.height = 4;
+    mp.virtual_channels = vcs;
+    std::vector<mesh::PacketDesc> packets;
+    mesh::PacketDesc d;
+    d.dst = 0;
+    d.payload_flits = 4;
+    d.src = 5;
+    packets.push_back(d);
+    d.src = 6;
+    packets.push_back(d);
+
+    const auto fast = run_countdown(mp, packets, 500, false, true);
+    const auto naive = run_countdown(mp, packets, 500, false, false);
+    expect_countdown_identical(fast, naive);
+    EXPECT_EQ(fast.steps, naive.steps);
+    EXPECT_EQ(fast.offers, naive.offers);
+    // Between the first packet's tail and the second one's head, one
+    // offer per cycle from the head's first refusal on.
+    const std::int64_t tail = fast.port_cycles[4];
+    const std::int64_t head = fast.port_cycles[5];
+    EXPECT_EQ(head - tail, 501);
+    std::vector<std::int64_t> retries;
+    for (std::int64_t c : fast.offers) {
+      if (c > tail && c <= head) retries.push_back(c);
+    }
+    ASSERT_GE(retries.size(), 490u);
+    EXPECT_EQ(retries.back(), head);
+    for (std::size_t i = 1; i < retries.size(); ++i) {
+      EXPECT_EQ(retries[i], retries[i - 1] + 1);
+    }
+  }
+}
+
+TEST(MeshQuietSkip, RunUntilDrainedStopsAtItsLimit) {
+  mesh::MeshParams mp;
+  mp.width = 4;
+  mp.height = 4;
+  // A waiter whose sink opens far past the limit.
+  {
+    mesh::Mesh net(mp);
+    CountdownSink port(1'000'000, true);
+    net.set_sink(0, &port);
+    mesh::PacketDesc d;
+    d.dst = 0;
+    d.payload_flits = 2;
+    d.src = 3;
+    net.inject(d);
+    d.src = 12;
+    net.inject(d);
+    EXPECT_FALSE(net.run_until_drained(500));
+    EXPECT_EQ(net.cycle(), 500);
+    EXPECT_TRUE(net.run_until_drained(2'000'000));
+    EXPECT_GT(net.cycle(), 1'000'000);
+  }
+  // No waiter: the next release lies past the limit.
+  {
+    mesh::Mesh net(mp);
+    mesh::PacketDesc d;
+    d.src = 1;
+    d.dst = 2;
+    d.release_cycle = 5'000'000;
+    net.inject(d);
+    EXPECT_FALSE(net.run_until_drained(100));
+    EXPECT_EQ(net.cycle(), 100);
+  }
 }
 
 // --- fft: fused kernel vs strided reference ---------------------------
