@@ -9,10 +9,11 @@
 //   bench_driver --quick --json BENCH_psync.json
 //   bench_driver --quick --baseline BENCH_psync.json [--max-regress 25]
 //
-// The `*_naive` / `*_reference` entries time the pre-optimization paths
-// (idle-skip disabled, strided radix-2 kernel, per-word codec), which stay
-// in the tree as the ground truth for the equivalence tests. Their ratio to
-// the fast entries documents the speedup and guards it against erosion.
+// The `*_naive` entries time the same code with the idle-skip disabled; the
+// `*_reference` entries time the test oracles (src/psync/oracle/: the AoS
+// mesh, the strided radix-2 FFT, the per-word codec) that the equivalence
+// tests hold the production paths to. Their ratio to the fast entries
+// documents the speedup and guards it against erosion.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +32,9 @@
 #include "psync/mesh/memory_interface.hpp"
 #include "psync/mesh/mesh.hpp"
 #include "psync/mesh/traffic.hpp"
+#include "psync/oracle/reference_codec.hpp"
+#include "psync/oracle/reference_fft.hpp"
+#include "psync/oracle/reference_mesh.hpp"
 #include "psync/perf/bench_report.hpp"
 #include "psync/perf/stopwatch.hpp"
 #include "psync/reliability/channel.hpp"
@@ -111,14 +115,13 @@ std::uint64_t run_mesh_random_traffic(std::uint64_t iters) {
   return hops;
 }
 
-// Congested stepping at size, with optional hotspot traffic (half of all
-// packets target the center node) and optional reference datapath — the
-// `_reference` variants time the retained AoS implementation on identical
-// traffic, so the JSON documents the SoA speedup per pattern.
+// Congested stepping at size on `Net` (mesh::Mesh or the oracle), with
+// optional hotspot traffic (half of all packets target the center node) —
+// the `_reference` variants time the AoS oracle on identical traffic, so the
+// JSON documents the SoA speedup per pattern.
+template <typename Net>
 std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
-                               bool hotspot, bool reference) {
-  const bool saved = psync::mesh::reference_datapath();
-  psync::mesh::set_reference_datapath(reference);
+                               bool hotspot) {
   const std::uint32_t nodes = dim * dim;
   const int packets = static_cast<int>(nodes) * 31;  // ~2k at 8x8
   std::uint64_t hops = 0;
@@ -126,7 +129,7 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
     psync::mesh::MeshParams mp;
     mp.width = dim;
     mp.height = dim;
-    psync::mesh::Mesh net(mp);
+    Net net(mp);
     std::vector<psync::mesh::ConsumeSink> sinks(net.nodes());
     for (psync::mesh::NodeId n = 0; n < net.nodes(); ++n) {
       net.set_sink(n, &sinks[n]);
@@ -145,7 +148,6 @@ std::uint64_t run_mesh_traffic(std::uint64_t iters, std::uint32_t dim,
     net.run_until_drained(10'000'000);
     hops += net.activity().link_traversals;
   }
-  psync::mesh::set_reference_datapath(saved);
   return hops;
 }
 
@@ -186,11 +188,11 @@ std::vector<psync::fft::Complex> fft_input(std::size_t n) {
   return x;
 }
 
-std::uint64_t run_fft_kernel(std::uint64_t iters, bool fast) {
-  const bool saved = psync::fft::fast_kernel();
-  psync::fft::set_fast_kernel(fast);
+// `Fft` is fft::FftPlan or the strided radix-2 oracle.
+template <typename Fft>
+std::uint64_t run_fft_kernel(std::uint64_t iters) {
   const std::size_t n = 4096;
-  psync::fft::FftPlan plan(n);
+  const Fft plan(n);
   const auto input = fft_input(n);
   auto data = input;
   std::uint64_t butterflies = 0;
@@ -199,7 +201,6 @@ std::uint64_t run_fft_kernel(std::uint64_t iters, bool fast) {
     const auto ops = plan.forward(data);
     butterflies += ops.butterflies;
   }
-  psync::fft::set_fast_kernel(saved);
   return butterflies;
 }
 
@@ -235,10 +236,9 @@ std::uint64_t run_reliability_codec(std::uint64_t iters, bool fast) {
         psync::reliability::encode_block(payload.data() + off, kBlock, &wire);
         psync::reliability::decode_block_into(wire.data(), kBlock, true, &dec);
       } else {
-        psync::reliability::encode_block_reference(payload.data() + off,
-                                                   kBlock, &wire);
-        dec = psync::reliability::decode_block_reference(wire.data(), kBlock,
-                                                         true);
+        psync::oracle::encode_block_reference(payload.data() + off, kBlock,
+                                              &wire);
+        dec = psync::oracle::decode_block_reference(wire.data(), kBlock, true);
       }
       if (!dec.good()) std::abort();  // clean wire must decode
     }
@@ -297,9 +297,7 @@ std::uint64_t run_fig13_sweep(std::uint64_t iters) {
   return points;
 }
 
-std::uint64_t run_fig13_fft2d(std::uint64_t iters, bool fast) {
-  const bool saved = psync::fft::fast_kernel();
-  psync::fft::set_fast_kernel(fast);
+std::uint64_t run_fig13_fft2d(std::uint64_t iters) {
   std::uint64_t elements = 0;
   for (std::uint64_t it = 0; it < iters; ++it) {
     // The fig13 measurement point re-run as a full machine simulation: a
@@ -316,7 +314,6 @@ std::uint64_t run_fig13_fft2d(std::uint64_t iters, bool fast) {
     if (result.records.empty()) std::abort();
     elements += 128 * 128;
   }
-  psync::fft::set_fast_kernel(saved);
   return elements;
 }
 
@@ -388,25 +385,38 @@ std::vector<BenchCase> make_cases() {
                    "8x8 mesh, 2000 random packets (congested stepping)",
                    5, 3, run_mesh_random_traffic});
   cases.push_back({"mesh_random_traffic_reference",
-                   "same traffic on the retained AoS reference datapath",
+                   "same traffic on the AoS mesh oracle",
                    2, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, false, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 8, false);
+                   }});
   cases.push_back({"mesh_random_traffic_16x16",
                    "16x16 mesh, ~8000 random packets (congested stepping)",
                    3, 2,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 16, false, false); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::mesh::Mesh>(n, 16, false);
+                   }});
   cases.push_back({"mesh_random_traffic_16x16_reference",
-                   "same 16x16 traffic on the AoS reference datapath",
+                   "same 16x16 traffic on the AoS mesh oracle",
                    1, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 16, false, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 16, false);
+                   }});
   cases.push_back({"mesh_hotspot",
                    "8x8 mesh, half of all packets target the center node",
                    3, 3,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, true, false); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::mesh::Mesh>(n, 8, true);
+                   }});
   cases.push_back({"mesh_hotspot_reference",
-                   "same hotspot traffic on the AoS reference datapath",
+                   "same hotspot traffic on the AoS mesh oracle",
                    1, 1,
-                   [](std::uint64_t n) { return run_mesh_traffic(n, 8, true, true); }});
+                   [](std::uint64_t n) {
+                     return run_mesh_traffic<psync::oracle::ReferenceMesh>(
+                         n, 8, true);
+                   }});
   cases.push_back({"mesh_port_countdown",
                    "8x8 writeback into one t_p=4 memory port, fast-forward on",
                    10, 3,
@@ -418,11 +428,11 @@ std::vector<BenchCase> make_cases() {
   cases.push_back({"fft_kernel_4096",
                    "4096-point forward FFT, fused radix-4 kernel",
                    2000, 200,
-                   [](std::uint64_t n) { return run_fft_kernel(n, true); }});
+                   run_fft_kernel<psync::fft::FftPlan>});
   cases.push_back({"fft_kernel_4096_reference",
-                   "4096-point forward FFT, strided radix-2 reference",
+                   "4096-point forward FFT, strided radix-2 oracle",
                    400, 50,
-                   [](std::uint64_t n) { return run_fft_kernel(n, false); }});
+                   run_fft_kernel<psync::oracle::ReferenceFft>});
   cases.push_back({"fft_four_step_64k",
                    "65536-point four-step FFT (shared twiddle table)",
                    20, 5, run_fft_four_step});
@@ -431,7 +441,7 @@ std::vector<BenchCase> make_cases() {
                    30, 5,
                    [](std::uint64_t n) { return run_reliability_codec(n, true); }});
   cases.push_back({"reliability_codec_reference",
-                   "SECDED+CRC framing, per-word reference encode/decode",
+                   "SECDED+CRC framing, per-word oracle encode/decode",
                    5, 2,
                    [](std::uint64_t n) { return run_reliability_codec(n, false); }});
   cases.push_back({"reliability_channel",
@@ -445,12 +455,7 @@ std::vector<BenchCase> make_cases() {
                    200, 50, run_fig13_sweep});
   cases.push_back({"fig13_fft2d",
                    "fig13 point as machine sim: 128x128 fft2d, P=16, k=4",
-                   10, 2,
-                   [](std::uint64_t n) { return run_fig13_fft2d(n, true); }});
-  cases.push_back({"fig13_fft2d_reference",
-                   "same machine sim on the strided radix-2 reference kernel",
-                   4, 1,
-                   [](std::uint64_t n) { return run_fig13_fft2d(n, false); }});
+                   10, 2, run_fig13_fft2d});
   cases.push_back({"driver_sweep_no_journal",
                    "4-point 256x256 fft2d sweep, no checkpoint journal",
                    6, 2,

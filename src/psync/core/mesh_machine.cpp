@@ -72,6 +72,9 @@ void MeshMachine::step_until(mesh::Mesh& net, Done done,
 
 MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
   if (params_.grid == 0) throw ConfigError("MeshMachine: zero grid");
+  if (params_.elements_per_packet == 0) {
+    throw ConfigError("MeshMachine: elements_per_packet must be positive");
+  }
   const std::size_t p = params_.grid * params_.grid;
   if (params_.matrix_rows % p != 0 || params_.matrix_cols % p != 0) {
     throw ConfigError(

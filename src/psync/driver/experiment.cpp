@@ -1,6 +1,7 @@
 #include "psync/driver/experiment.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "psync/common/check.hpp"
@@ -9,17 +10,26 @@ namespace psync::driver {
 
 namespace {
 
-// Count-valued knobs arrive as doubles from the sweep parser. Casting a
-// negative value straight to an unsigned type is undefined behavior (and in
-// practice wraps to a huge count), and a fractional value would silently
-// truncate — the sweep would then report an axis value that was never
-// actually simulated. Reject both up front, naming the knob.
+// A grid's grid^2 mesh node ids must fit in 32 bits.
+constexpr std::size_t kMaxGrid = 65535;
+
+// Count-valued knobs arrive as doubles from the sweep parser, and [mesh]
+// config integers as int64. Casting a negative or oversized value straight
+// to a narrower unsigned type is undefined behavior (in practice it wraps:
+// -1 becomes a huge count, 2^32 + 1 becomes 1), and a fractional value
+// would silently truncate — the run would then report a value that was
+// never actually simulated. Reject all three up front, naming the knob;
+// `lo`/`hi` narrow the range further where the model needs it.
 template <typename UInt>
-UInt count_knob(const std::string& knob, double value) {
-  const double rounded = std::floor(value);
-  if (!(value >= 0.0) || rounded != value) {
-    throw ConfigError("knob '" + knob + "' must be a non-negative integer; " +
-                      "got " + std::to_string(value));
+UInt count_knob(const std::string& knob, double value, UInt lo = 0,
+                UInt hi = std::numeric_limits<UInt>::max()) {
+  // 2^digits, the first value UInt cannot hold, is exact in a double.
+  const double end = std::ldexp(1.0, std::numeric_limits<UInt>::digits);
+  if (!(value >= 0.0 && value < end) || std::floor(value) != value ||
+      static_cast<UInt>(value) < lo || static_cast<UInt>(value) > hi) {
+    throw ConfigError("knob '" + knob + "' must be an integer in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "]; got " + std::to_string(value));
   }
   return static_cast<UInt>(value);
 }
@@ -60,13 +70,15 @@ bool apply_knob(const std::string& knob, double value,
   } else if (knob == "brownout_ber") {
     machine->fault.brownout_ber = value;
   } else if (knob == "grid") {
-    mesh->grid = count_knob<std::size_t>(knob, value);
+    mesh->grid = count_knob<std::size_t>(knob, value, 0, kMaxGrid);
   } else if (knob == "t_p") {
     mesh->mi.reorder_cycles_per_element = count_knob<std::uint32_t>(knob, value);
   } else if (knob == "elements_per_packet") {
     mesh->elements_per_packet = count_knob<std::uint32_t>(knob, value);
   } else if (knob == "virtual_channels") {
-    mesh->net.virtual_channels = count_knob<std::uint32_t>(knob, value);
+    mesh->net.virtual_channels =
+        count_knob<std::uint32_t>(knob, value, 1,
+                                  psync::mesh::kMaxVirtualChannels);
   } else if (knob == "cores") {
     // Consumed by the fig13 workload straight from the knob list; nothing
     // to write into the machine blocks.
@@ -146,21 +158,26 @@ core::PsyncMachineParams machine_from_config(const IniConfig& cfg) {
 
 core::MeshMachineParams mesh_from_config(const IniConfig& cfg,
                                          const core::PsyncMachineParams& mp) {
+  // Each [mesh] integer goes through the sweep knobs' range check.
+  const auto count = [&cfg](const char* key, std::int64_t fallback) {
+    return static_cast<double>(cfg.get_int("mesh", key, fallback));
+  };
   core::MeshMachineParams m;
-  m.grid = static_cast<std::size_t>(cfg.get_int("mesh", "grid", 4));
+  m.grid = count_knob<std::size_t>("grid", count("grid", 4), 0, kMaxGrid);
   m.matrix_rows = mp.matrix_rows;
   m.matrix_cols = mp.matrix_cols;
-  m.elements_per_packet =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "elements_per_packet", 32));
+  m.elements_per_packet = count_knob<std::uint32_t>(
+      "elements_per_packet", count("elements_per_packet", 32));
   m.mi.reorder_cycles_per_element =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "t_p", 1));
+      count_knob<std::uint32_t>("t_p", count("t_p", 1));
   m.mi.overlap_stages = cfg.get_bool("mesh", "overlap_stages", false);
-  m.net.buffer_depth =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "buffer_depth", 2));
-  m.net.virtual_channels =
-      static_cast<std::uint32_t>(cfg.get_int("mesh", "virtual_channels", 1));
-  m.mi.dram.row_switch_cycles = static_cast<std::uint64_t>(
-      cfg.get_int("mesh", "dram_row_switch_cycles", 0));
+  m.net.buffer_depth = count_knob<std::uint32_t>(
+      "buffer_depth", count("buffer_depth", 2), 1, mesh::kMaxBufferDepth);
+  m.net.virtual_channels = count_knob<std::uint32_t>(
+      "virtual_channels", count("virtual_channels", 1), 1,
+      mesh::kMaxVirtualChannels);
+  m.mi.dram.row_switch_cycles = count_knob<std::uint64_t>(
+      "dram_row_switch_cycles", count("dram_row_switch_cycles", 0));
   return m;
 }
 

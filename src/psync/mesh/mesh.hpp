@@ -12,21 +12,22 @@
 //     free turn model) that picks the less congested minimal direction.
 //
 // Datapath layout: this class is the structure-of-arrays rewrite of the
-// retained reference implementation (reference_mesh.hpp). Packet fields
-// (src/dst/flit count/payload base/payload words) live in flat parallel
-// arrays indexed by packet id, captured at inject() time; a ring slot then
-// holds a single packed word — packet id, sequence number, tail bit —
-// because every other flit field is a pure function of (packet, seq). A
-// link traversal is one 64-bit copy, and the full Flit is reconstructed
-// only at the sink boundary. Per-VC routing and allocation state are byte
-// arrays contiguous per router, so the hot scans (update_routing /
-// serve_outputs / keep-awake) test a whole router's five input VCs with one
-// unaligned 64-bit load and SWAR byte masks instead of chasing 40-byte
-// Flit copies. Payload words move into an arena at inject() time, so
-// nothing vector-sized rides through the release queue.
-// Both datapaths are byte-identical by construction and by test
-// (test_mesh_soa); set_reference_datapath() routes new Mesh instances
-// through the reference stepping path for differential checks.
+// original array-of-structs model, which lives on as a test oracle
+// (oracle/reference_mesh.hpp). Packet fields (src/dst/flit count/payload
+// base/payload words) live in flat parallel arrays indexed by packet id,
+// captured at inject() time; a ring slot then holds a single packed word —
+// packet id, sequence number, tail bit — because every other flit field is
+// a pure function of (packet, seq). A link traversal is one 64-bit copy,
+// and the full Flit is reconstructed only at the sink boundary. Per-VC
+// routing and allocation state are byte arrays contiguous per router, so
+// the hot scans (update_routing / serve_outputs / keep-awake) test a whole
+// router's five input VCs with one unaligned 64-bit load and SWAR byte
+// masks instead of chasing 40-byte Flit copies. Payload words move into an
+// arena at inject() time, so nothing vector-sized rides through the release
+// queue. FIFO occupancy and credits are bytes, so buffer_depth is bounded
+// by kMaxBufferDepth (255). This is the only mesh datapath; the
+// differential suite (test_mesh_soa) checks it against the oracle, byte for
+// byte, on identical traffic.
 //
 // Ejection at a node goes to a Sink; memory interfaces (memory_interface.hpp)
 // and simple consumers implement this interface. Sinks are self-clocked:
@@ -54,17 +55,8 @@
 #include "psync/common/stats.hpp"
 #include "psync/mesh/flit.hpp"
 #include "psync/mesh/mesh_types.hpp"
-#include "psync/mesh/reference_mesh.hpp"
 
 namespace psync::mesh {
-
-/// Process-wide toggle: when set, newly constructed Mesh objects delegate
-/// every call to the retained reference datapath (reference_mesh.hpp).
-/// Snapshotted at construction — flipping it does not affect live meshes.
-/// Exists for differential tests and the `*_reference` bench entries; results
-/// are byte-identical either way.
-void set_reference_datapath(bool on);
-bool reference_datapath();
 
 class Mesh {
  public:
@@ -72,7 +64,7 @@ class Mesh {
 
   const MeshParams& params() const { return params_; }
   std::uint32_t nodes() const { return params_.width * params_.height; }
-  std::int64_t cycle() const { return ref_ ? ref_->cycle() : cycle_; }
+  std::int64_t cycle() const { return cycle_; }
 
   NodeId node_at(std::uint32_t x, std::uint32_t y) const;
   std::uint32_t x_of(NodeId n) const { return n % params_.width; }
@@ -97,43 +89,23 @@ class Mesh {
   /// Quiet-cycle fast-forward (on by default; see the file comment).
   /// Results are identical either way; the toggle exists so equivalence
   /// tests can force plain stepping.
-  void set_idle_skip(bool on) {
-    if (ref_) ref_->set_idle_skip(on);
-    idle_skip_ = on;
-  }
+  void set_idle_skip(bool on) { idle_skip_ = on; }
   bool idle_skip() const { return idle_skip_; }
 
   /// True when no flit is buffered anywhere and no injection is pending.
   bool drained() const;
 
-  const MeshActivity& activity() const {
-    return ref_ ? ref_->activity() : activity_;
-  }
+  const MeshActivity& activity() const { return activity_; }
   /// Packet latency (inject of head to eject of tail), in cycles.
-  const RunningStats& packet_latency() const {
-    return ref_ ? ref_->packet_latency() : packet_latency_;
-  }
+  const RunningStats& packet_latency() const { return packet_latency_; }
   /// Opt-in per-packet latency recording (for histograms); off by default
   /// to keep the big runs lean.
-  void record_latencies(bool on) {
-    if (ref_) ref_->record_latencies(on);
-    record_latencies_ = on;
-  }
-  const std::vector<double>& latencies() const {
-    return ref_ ? ref_->latencies() : latencies_;
-  }
+  void record_latencies(bool on) { record_latencies_ = on; }
+  const std::vector<double>& latencies() const { return latencies_; }
   /// Flits currently buffered in the network.
-  std::uint64_t in_flight_flits() const {
-    return ref_ ? ref_->in_flight_flits() : in_flight_flits_;
-  }
+  std::uint64_t in_flight_flits() const { return in_flight_flits_; }
   /// Packets injected but whose tail has not yet ejected.
-  std::uint64_t in_flight_packets() const {
-    return ref_ ? ref_->in_flight_packets() : in_flight_packets_;
-  }
-  /// True when this instance runs the retained reference datapath (set by
-  /// set_reference_datapath() at construction, or forced by parameters the
-  /// SoA layout does not encode, e.g. buffer_depth > 255).
-  bool using_reference_datapath() const { return ref_ != nullptr; }
+  std::uint64_t in_flight_packets() const { return in_flight_packets_; }
 
  private:
   // Port order: N, E, S, W, LOCAL-in (injection); outputs: N, E, S, W, EJECT.
@@ -229,9 +201,6 @@ class Mesh {
   void enqueue_packet(PacketId id);
 
   MeshParams params_;
-  // Delegation target when the reference datapath is selected; every public
-  // method forwards when non-null.
-  std::unique_ptr<ReferenceMesh> ref_;
 
   std::uint32_t vc_total_ = 0;  // kPorts * virtual_channels
   std::uint32_t stride_ = 0;    // lane stride per router (8 when packed)

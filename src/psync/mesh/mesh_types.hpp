@@ -1,7 +1,7 @@
 // Shared types for the wormhole-routed 2D mesh NoC: parameters, sinks, and
-// activity counters. Both datapaths (the SoA production path in mesh.hpp and
-// the retained reference path in reference_mesh.hpp) build on these, so they
-// live in their own header to keep the include graph acyclic.
+// activity counters. The production datapath (mesh.hpp) and the test oracle
+// (oracle/reference_mesh.hpp) both build on these, so the oracle needs no
+// part of the production class.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,12 @@ enum class RouteAlgo : std::uint8_t {
   kXY = 0,
   kWestFirstAdaptive = 1,
 };
+
+/// Largest MeshParams::buffer_depth a Mesh accepts: FIFO occupancy and
+/// credits are byte lanes in the production datapath.
+inline constexpr std::uint32_t kMaxBufferDepth = 255;
+/// Largest MeshParams::virtual_channels a Mesh accepts.
+inline constexpr std::uint32_t kMaxVirtualChannels = 16;
 
 struct MeshParams {
   std::uint32_t width = 4;

@@ -18,15 +18,13 @@ inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFU;
 
 /// Fold `len` bytes into a running CRC (pass kCrc32Init to start; the
 /// return value is NOT finalized — call crc32_finalize when done).
-/// Implemented slice-by-8: eight bytes fold per table round, same remainder
-/// as the classic byte-at-a-time loop for every input.
+/// Buffers of 64 bytes or more fold with PCLMULQDQ carry-less multiplies
+/// when the CPU has them and PSYNC_FORCE_SCALAR is unset; the rest folds
+/// slice-by-8, eight bytes per table round. Either way the remainder equals
+/// the classic byte-at-a-time loop's for every input (the test oracle,
+/// oracle/reference_codec.hpp).
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t len);
-
-/// The byte-at-a-time loop the slice-by-8 path is verified against
-/// (identity tests, before/after benchmarks).
-std::uint32_t crc32_update_reference(std::uint32_t crc, const void* data,
-                                     std::size_t len);
 
 inline std::uint32_t crc32_finalize(std::uint32_t crc) { return ~crc; }
 

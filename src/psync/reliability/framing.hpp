@@ -14,6 +14,10 @@
 // Check words travel unprotected: a flipped bit there surfaces as a check-
 // byte error on the corresponding data word, which SECDED classifies as a
 // correctable check-bit error (data untouched).
+//
+// encode_block/decode_block batch the SECDED and CRC work per block; the
+// per-word loops they replaced live on as test oracles
+// (oracle/reference_codec.hpp) and produce the same wire and results.
 #pragma once
 
 #include <cstddef>
@@ -65,12 +69,5 @@ BlockDecode decode_block(const std::uint64_t* wire, std::size_t n,
 /// decodes a long stream (or retries) block after block.
 void decode_block_into(const std::uint64_t* wire, std::size_t n, bool correct,
                        BlockDecode* out);
-
-/// Original per-word encode/decode loops, kept as the ground truth the
-/// batched paths are tested against. Behavior is identical.
-void encode_block_reference(const std::uint64_t* payload, std::size_t n,
-                            std::vector<std::uint64_t>* wire);
-BlockDecode decode_block_reference(const std::uint64_t* wire, std::size_t n,
-                                   bool correct);
 
 }  // namespace psync::reliability

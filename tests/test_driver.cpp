@@ -9,6 +9,8 @@
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/config.hpp"
+#include "psync/core/mesh_machine.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/fft/plan_cache.hpp"
 
@@ -137,11 +139,51 @@ TEST(SweepEngine, ApplyKnobRejectsNonIntegerCounts) {
   EXPECT_THROW((void)apply_knob("virtual_channels", 2.25, &m, &mm),
                ConfigError);
   EXPECT_THROW((void)apply_knob("k", std::nan(""), &m, &mm), ConfigError);
+  // Out of the target type or the model's range.
+  EXPECT_THROW((void)apply_knob("virtual_channels", 4294967297.0, &m, &mm),
+               ConfigError);
+  EXPECT_THROW((void)apply_knob("virtual_channels", 17.0, &m, &mm),
+               ConfigError);
+  EXPECT_THROW((void)apply_knob("grid", 65536.0, &m, &mm), ConfigError);
   // Exact integral values still apply.
   EXPECT_TRUE(apply_knob("processors", 16.0, &m, &mm));
   EXPECT_EQ(m.processors, 16u);
   EXPECT_TRUE(apply_knob("t_p", 4.0, &m, &mm));
   EXPECT_EQ(mm.mi.reorder_cycles_per_element, 4u);
+}
+
+// Regression: [mesh] config integers used to be cast straight to unsigned.
+// buffer_depth = -1 then spun forever, elements_per_packet = 0 died with
+// SIGFPE, grid = -1 ran a 1x1 mesh, values past 2^32 wrapped, and t_p = -1
+// ran into the cycle cap. Each row must be a ConfigError naming the key,
+// raised by the time the machine is built — before any cycle is stepped.
+// (The last row used to crash the process, so it stays last.)
+TEST(SpecFromConfig, OutOfRangeMeshIntegersAreConfigErrors) {
+  struct Row {
+    const char* key;
+    const char* value;
+  };
+  const Row rows[] = {
+      {"buffer_depth", "-1"},
+      {"elements_per_packet", "0"},
+      {"grid", "-1"},
+      {"virtual_channels", "4294967297"},
+      {"buffer_depth", "4294967298"},
+      {"t_p", "-1"},
+      {"grid", "4294967296"},  // grid^2 wraps to 0 processors: SIGFPE
+  };
+  for (const Row& row : rows) {
+    const std::string text = std::string("[experiment]\nkind = transpose\n") +
+                             "[mesh]\n" + row.key + " = " + row.value + "\n";
+    try {
+      const ExperimentSpec spec = spec_from_config(IniConfig::parse(text));
+      const core::MeshMachine machine(spec.mesh);
+      ADD_FAILURE() << row.key << " = " << row.value << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(row.key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SweepEngine, MapUsesThePoolAndPreservesOrder) {

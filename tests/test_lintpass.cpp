@@ -195,6 +195,19 @@ TEST(LintLayering, SyntheticDistToServeIncludeIsRejected) {
       << r.findings[0].message;
 }
 
+TEST(LintLayering, OracleIncludeFromAProductionLayerIsRejected) {
+  // The test oracles are linked by tests and bench_driver only; every
+  // layer under src/psync must keep them out of its include graph.
+  lp::Report r;
+  lp::lint_file("src/psync/core/fixture.cpp",
+                "#include \"psync/oracle/reference_mesh.hpp\"\n",
+                lp::Policy{}, real_layers(), &r);
+  ASSERT_EQ(count_rule(r, "layer-violation"), 1) << lp::render_text(r);
+  EXPECT_NE(r.findings[0].message.find("'core' must not include 'oracle'"),
+            std::string::npos)
+      << r.findings[0].message;
+}
+
 TEST(LintLayering, AllowedEdgesPass) {
   const auto r =
       lint_fixture("layer_clean.cpp", "src/psync/dist/fixture.cpp");

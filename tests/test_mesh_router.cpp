@@ -245,6 +245,10 @@ TEST(Mesh, InvalidConfigRejected) {
   MeshParams q;
   q.buffer_depth = 0;
   EXPECT_THROW(Mesh{q}, SimulationError);
+  q.buffer_depth = kMaxBufferDepth + 1;
+  EXPECT_THROW(Mesh{q}, SimulationError);
+  q.buffer_depth = kMaxBufferDepth;
+  EXPECT_NO_THROW(Mesh{q});
 }
 
 TEST(Mesh, DeepBuffersReduceCompletionTimeUnderContention) {

@@ -1,6 +1,7 @@
 // Equivalence tests for the perf fast paths: every optimization in the
 // mesh, FFT, and reliability layers must be observationally identical to
-// the reference implementation it replaced. These tests run both sides on
+// the implementation it replaced — the idle-skip off, or the test oracle
+// (src/psync/oracle/) it was rewritten from. These tests run both sides on
 // the same inputs and require bit-identical outputs, stats, and reports —
 // the fast paths buy wall-clock time, never different answers.
 #include <gtest/gtest.h>
@@ -10,9 +11,10 @@
 #include <vector>
 
 #include "psync/common/rng.hpp"
-#include "psync/driver/runner.hpp"
 #include "psync/fft/fft.hpp"
 #include "psync/mesh/mesh.hpp"
+#include "psync/oracle/reference_codec.hpp"
+#include "psync/oracle/reference_fft.hpp"
 #include "psync/reliability/crc32.hpp"
 #include "psync/reliability/fault_model.hpp"
 #include "psync/reliability/framing.hpp"
@@ -433,7 +435,7 @@ TEST(MeshQuietSkip, RunUntilDrainedStopsAtItsLimit) {
   }
 }
 
-// --- fft: fused kernel vs strided reference ---------------------------
+// --- fft: fused kernel vs the strided radix-2 oracle -------------------
 
 std::vector<fft::Complex> random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -449,18 +451,14 @@ bool bit_identical(const std::vector<fft::Complex>& a,
 }
 
 TEST(FftFastKernel, ForwardBitIdenticalToReferenceAcrossSizes) {
-  ASSERT_TRUE(fft::fast_kernel()) << "fast kernel must be the default";
   for (std::size_t n = 2; n <= 4096; n *= 2) {
     const auto input = random_signal(n, 1000 + n);
-    fft::FftPlan plan(n);
 
     auto fast = input;
-    const auto fast_ops = plan.forward(fast);
+    const auto fast_ops = fft::FftPlan(n).forward(fast);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    const auto ref_ops = plan.forward(ref);
-    fft::set_fast_kernel(true);
+    const auto ref_ops = oracle::ReferenceFft(n).forward(ref);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "n=" << n;
     EXPECT_EQ(fast_ops.butterflies, ref_ops.butterflies) << "n=" << n;
@@ -472,15 +470,12 @@ TEST(FftFastKernel, ForwardBitIdenticalToReferenceAcrossSizes) {
 TEST(FftFastKernel, InverseBitIdenticalToReference) {
   for (std::size_t n : {8u, 64u, 1024u}) {
     const auto input = random_signal(n, 2000 + n);
-    fft::FftPlan plan(n);
 
     auto fast = input;
-    plan.inverse(fast);
+    fft::FftPlan(n).inverse(fast);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    plan.inverse(ref);
-    fft::set_fast_kernel(true);
+    oracle::ReferenceFft(n).inverse(ref);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "n=" << n;
   }
@@ -489,34 +484,24 @@ TEST(FftFastKernel, InverseBitIdenticalToReference) {
 TEST(FftFastKernel, BlockedForwardBitIdenticalToReference) {
   const std::size_t n = 1024;
   const auto input = random_signal(n, 31);
-  fft::FftPlan plan(n);
+  const fft::FftPlan plan(n);
+  const oracle::ReferenceFft oracle_fft(n);
   for (std::size_t k : {1u, 4u, 16u}) {
     auto fast = input;
-    plan.forward_blocked(fast, k);
+    std::vector<fft::OpCount> fast_blocks;
+    const auto fast_ops = plan.forward_blocked(fast, k, &fast_blocks);
 
-    fft::set_fast_kernel(false);
     auto ref = input;
-    plan.forward_blocked(ref, k);
-    fft::set_fast_kernel(true);
+    std::vector<fft::OpCount> ref_blocks;
+    const auto ref_ops = oracle_fft.forward_blocked(ref, k, &ref_blocks);
 
     EXPECT_TRUE(bit_identical(fast, ref)) << "k=" << k;
+    EXPECT_EQ(fast_ops.real_mults, ref_ops.real_mults) << "k=" << k;
+    ASSERT_EQ(fast_blocks.size(), ref_blocks.size()) << "k=" << k;
+    for (std::size_t b = 0; b < k; ++b) {
+      EXPECT_EQ(fast_blocks[b].butterflies, ref_blocks[b].butterflies);
+    }
   }
-}
-
-TEST(FftFastKernel, RunStagesReferenceMatchesToggledDispatch) {
-  // The public reference entry point is the same code the toggle selects.
-  const std::size_t n = 256;
-  const auto input = random_signal(n, 77);
-  fft::FftPlan plan(n);
-
-  auto via_toggle = input;
-  fft::set_fast_kernel(false);
-  plan.forward(via_toggle);
-  fft::set_fast_kernel(true);
-
-  auto fast = input;
-  plan.forward(fast);
-  EXPECT_TRUE(bit_identical(fast, via_toggle));
 }
 
 // --- reliability: batched codec vs per-word reference ------------------
@@ -531,7 +516,7 @@ TEST(ReliabilityBatch, Crc32SliceBy8MatchesBytewise) {
       const std::uint32_t fast =
           reliability::crc32_update(reliability::kCrc32Init, buf.data() + off,
                                     len);
-      const std::uint32_t ref = reliability::crc32_update_reference(
+      const std::uint32_t ref = oracle::crc32_update_reference(
           reliability::kCrc32Init, buf.data() + off, len);
       ASSERT_EQ(fast, ref) << "len=" << len << " off=" << off;
     }
@@ -542,7 +527,7 @@ TEST(ReliabilityBatch, Crc32SliceBy8MatchesBytewise) {
   for (std::size_t off = 0; off < 4096; off += 123) {
     const std::size_t len = std::min<std::size_t>(123, 4096 - off);
     fast = reliability::crc32_update(fast, buf.data() + off, len);
-    ref = reliability::crc32_update_reference(ref, buf.data() + off, len);
+    ref = oracle::crc32_update_reference(ref, buf.data() + off, len);
   }
   EXPECT_EQ(reliability::crc32_finalize(fast),
             reliability::crc32_finalize(ref));
@@ -581,17 +566,11 @@ TEST(ReliabilityBatch, SecdedWordBatchMatchesPerWord) {
     reliability::SecdedWordStats stats;
     reliability::secded_decode_words(rx.data(), rx_checks.data(), kCount,
                                      correct, batch_out.data(), &stats);
+    std::vector<std::uint64_t> ref_out(kCount);
     reliability::SecdedWordStats ref_stats;
-    for (std::size_t i = 0; i < kCount; ++i) {
-      const auto res = reliability::secded_decode(rx[i], rx_checks[i]);
-      const std::uint64_t want = correct ? res.data : rx[i];
-      ASSERT_EQ(batch_out[i], want) << "word " << i;
-      if (!res.clean()) ++ref_stats.flagged_words;
-      if (res.double_error()) ++ref_stats.double_errors;
-      if (correct && res.status == reliability::SecdedStatus::kCorrectedData) {
-        ++ref_stats.corrected_bits;
-      }
-    }
+    oracle::secded_decode_words_reference(rx.data(), rx_checks.data(), kCount,
+                                          correct, ref_out.data(), &ref_stats);
+    ASSERT_EQ(batch_out, ref_out);
     EXPECT_EQ(stats.flagged_words, ref_stats.flagged_words);
     EXPECT_EQ(stats.double_errors, ref_stats.double_errors);
     EXPECT_EQ(stats.corrected_bits, ref_stats.corrected_bits);
@@ -606,15 +585,14 @@ TEST(ReliabilityBatch, FramingMatchesReferenceCleanAndCorrupted) {
 
     std::vector<std::uint64_t> wire, wire_ref;
     reliability::encode_block(payload.data(), n, &wire);
-    reliability::encode_block_reference(payload.data(), n, &wire_ref);
+    oracle::encode_block_reference(payload.data(), n, &wire_ref);
     ASSERT_EQ(wire, wire_ref) << "n=" << n;
 
     // Clean decode.
     auto check_decode = [&](const std::vector<std::uint64_t>& rx) {
       for (bool correct : {true, false}) {
         const auto fast = reliability::decode_block(rx.data(), n, correct);
-        const auto ref =
-            reliability::decode_block_reference(rx.data(), n, correct);
+        const auto ref = oracle::decode_block_reference(rx.data(), n, correct);
         ASSERT_EQ(fast.payload, ref.payload);
         ASSERT_EQ(fast.corrected_bits, ref.corrected_bits);
         ASSERT_EQ(fast.double_errors, ref.double_errors);
@@ -695,29 +673,6 @@ TEST(ReliabilityBatch, CorruptWordsMatchesPerWordStream) {
       EXPECT_EQ(inplace, word_out) << "ber=" << ber;
     }
   }
-}
-
-// --- driver: reports byte-identical fast vs reference ------------------
-
-TEST(DriverEquivalence, SweepJsonByteIdenticalFastVsReferenceKernel) {
-  driver::ExperimentSpec spec;
-  spec.workload = "fft2d";
-  spec.machine.processors = 4;
-  spec.machine.matrix_rows = 16;
-  spec.machine.matrix_cols = 16;
-  spec.with_mesh = true;
-  spec.mesh.matrix_rows = 16;  // mesh baseline runs the same matrix
-  spec.mesh.matrix_cols = 16;
-  spec.mesh.elements_per_packet = 8;  // 16 elements/node must fill packets
-  spec.axes.push_back({"blocks", {1, 2, 4}});
-
-  const auto fast = driver::Runner::run(spec);
-  fft::set_fast_kernel(false);
-  const auto ref = driver::Runner::run(spec);
-  fft::set_fast_kernel(true);
-
-  EXPECT_EQ(driver::sweep_json(fast), driver::sweep_json(ref));
-  EXPECT_EQ(driver::sweep_csv(fast), driver::sweep_csv(ref));
 }
 
 }  // namespace
