@@ -1,7 +1,7 @@
 // Wall-clock benchmark driver and perf-regression gate.
 //
-// Times the simulator hot paths (mesh drain, FFT kernels, reliability
-// framing, driver sweeps) and writes BENCH_psync.json. Unlike the
+// Times the simulator hot paths (mesh drain, SCA gather, FFT kernels,
+// reliability framing, driver sweeps) and writes BENCH_psync.json. Unlike the
 // bench_table*/bench_fig* binaries — which check *simulated* results
 // against the paper — this binary measures *host* wall time, so CI can
 // catch performance regressions:
@@ -11,7 +11,8 @@
 //
 // The `*_naive` entries time the same code with the idle-skip disabled; the
 // `*_reference` entries time the test oracles (src/psync/oracle/: the AoS
-// mesh, the strided radix-2 FFT, the per-word codec) that the equivalence
+// mesh, the record-and-sort SCA gather, the strided radix-2 FFT, the
+// per-word codec) that the equivalence
 // tests hold the production paths to. Their ratio to the fast entries
 // documents the speedup and guards it against erosion.
 #include <cstdio>
@@ -23,6 +24,8 @@
 #include <vector>
 
 #include "psync/common/rng.hpp"
+#include "psync/core/cp_compile.hpp"
+#include "psync/core/sca.hpp"
 #include "psync/dist/shard.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
@@ -35,6 +38,7 @@
 #include "psync/oracle/reference_codec.hpp"
 #include "psync/oracle/reference_fft.hpp"
 #include "psync/oracle/reference_mesh.hpp"
+#include "psync/oracle/reference_sca.hpp"
 #include "psync/perf/bench_report.hpp"
 #include "psync/perf/stopwatch.hpp"
 #include "psync/reliability/channel.hpp"
@@ -175,6 +179,35 @@ std::uint64_t run_mesh_port_countdown(std::uint64_t iters, bool idle_skip) {
     hops += net.activity().link_traversals;
   }
   return hops;
+}
+
+// --- sca ----------------------------------------------------------------
+
+// Full-scale Table III gather: 1024 nodes x 1024 words through the
+// transpose CP, 2^20 terminus slots per iteration. The `_reference` entry
+// runs the record-and-sort oracle on the same schedule, so the pair's ratio
+// is the slot-placed gather's gain on this host.
+std::uint64_t run_sca_gather_transpose(std::uint64_t iters, bool fast) {
+  constexpr std::size_t kNodes = 1024;
+  constexpr std::size_t kWords = 1024;
+  const psync::core::ScaEngine engine(
+      psync::core::straight_bus_topology(kNodes, 8.0));
+  const auto sched = psync::core::compile_gather_transpose(
+      kNodes, 1, static_cast<psync::core::Slot>(kWords));
+  psync::Rng rng(19);
+  std::vector<std::vector<psync::core::Word>> data(
+      kNodes, std::vector<psync::core::Word>(kWords));
+  for (auto& node : data) {
+    for (auto& w : node) w = rng.next_u64();
+  }
+  std::uint64_t slots = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    const auto g = fast ? engine.gather(sched, data)
+                        : psync::oracle::gather_reference(engine, sched, data);
+    if (!g.gap_free) std::abort();
+    slots += g.stream.size();
+  }
+  return slots;
 }
 
 // --- fft ----------------------------------------------------------------
@@ -425,6 +458,14 @@ std::vector<BenchCase> make_cases() {
                    "same writeback stepping every countdown cycle",
                    3, 1,
                    [](std::uint64_t n) { return run_mesh_port_countdown(n, false); }});
+  cases.push_back({"sca_gather_transpose",
+                   "1024x1024 SCA gather-transpose, slot-placed records",
+                   5, 3,
+                   [](std::uint64_t n) { return run_sca_gather_transpose(n, true); }});
+  cases.push_back({"sca_gather_transpose_reference",
+                   "same gather on the record-and-sort oracle",
+                   2, 1,
+                   [](std::uint64_t n) { return run_sca_gather_transpose(n, false); }});
   cases.push_back({"fft_kernel_4096",
                    "4096-point forward FFT, fused radix-4 kernel",
                    2000, 200,

@@ -34,13 +34,42 @@ void CommProgram::add(const CpStride& s) {
 }
 
 std::vector<CpEntry> CommProgram::entries() const {
+  // A stride with stride >= burst (or a single burst) expands to a run
+  // already in slot order, so merge the runs instead of sorting their
+  // concatenation. Two entries sharing a begin slot overlap, which the scan
+  // below rejects at the same slot whichever order the merge left them in.
   std::vector<CpEntry> out;
+  std::vector<std::size_t> run_begin;
+  bool runs_ordered = true;
   for (const auto& s : strides_) {
-    auto e = s.expand();
-    out.insert(out.end(), e.begin(), e.end());
+    PSYNC_CHECK(s.burst > 0);
+    PSYNC_CHECK(s.count > 0);
+    PSYNC_CHECK(s.first >= 0);
+    run_begin.push_back(out.size());
+    runs_ordered = runs_ordered && (s.count == 1 || s.stride >= s.burst);
+    for (Slot b = 0; b < s.count; ++b) {
+      out.push_back(CpEntry{s.first + b * s.stride, s.burst, s.action});
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const CpEntry& a, const CpEntry& b) { return a.begin < b.begin; });
+  const auto by_begin = [](const CpEntry& a, const CpEntry& b) {
+    return a.begin < b.begin;
+  };
+  if (!runs_ordered) {
+    std::sort(out.begin(), out.end(), by_begin);
+  } else {
+    // Bottom-up pairwise merge of the runs: O(n log runs).
+    run_begin.push_back(out.size());
+    for (std::size_t width = 1; width + 1 < run_begin.size(); width *= 2) {
+      for (std::size_t r = 0; r + width + 1 < run_begin.size(); r += 2 * width) {
+        const std::size_t last = std::min(r + 2 * width, run_begin.size() - 1);
+        std::inplace_merge(
+            out.begin() + static_cast<std::ptrdiff_t>(run_begin[r]),
+            out.begin() + static_cast<std::ptrdiff_t>(run_begin[r + width]),
+            out.begin() + static_cast<std::ptrdiff_t>(run_begin[last]),
+            by_begin);
+      }
+    }
+  }
   for (std::size_t i = 1; i < out.size(); ++i) {
     if (out[i].begin < out[i - 1].end()) {
       throw SimulationError("CommProgram: entries overlap at slot " +

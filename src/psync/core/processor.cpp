@@ -1,6 +1,5 @@
 #include "psync/core/processor.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "psync/common/check.hpp"
@@ -8,20 +7,6 @@
 #include "psync/fft/plan_cache.hpp"
 
 namespace psync::core {
-
-Word pack_sample(std::complex<double> v) {
-  const float re = static_cast<float>(v.real());
-  const float im = static_cast<float>(v.imag());
-  const auto re_bits = std::bit_cast<std::uint32_t>(re);
-  const auto im_bits = std::bit_cast<std::uint32_t>(im);
-  return (static_cast<Word>(re_bits) << 32) | im_bits;
-}
-
-std::complex<double> unpack_sample(Word w) {
-  const auto re = std::bit_cast<float>(static_cast<std::uint32_t>(w >> 32));
-  const auto im = std::bit_cast<float>(static_cast<std::uint32_t>(w & 0xFFFFFFFFULL));
-  return {static_cast<double>(re), static_cast<double>(im)};
-}
 
 Processor::Processor(std::uint32_t id, ExecCostParams exec)
     : id_(id), exec_(exec) {}

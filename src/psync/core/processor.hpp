@@ -7,6 +7,7 @@
 // costs `mults_per_butterfly` multiplies, and only multiplies are charged.
 #pragma once
 
+#include <bit>
 #include <complex>
 #include <cstdint>
 #include <vector>
@@ -48,9 +49,21 @@ struct ExecCostParams {
 };
 
 /// Pack/unpack a complex sample into the 64-bit word format the waveguide
-/// carries (paper: 64-bit samples = two 32-bit floats).
-Word pack_sample(std::complex<double> v);
-std::complex<double> unpack_sample(Word w);
+/// carries (paper: 64-bit samples = two 32-bit floats). Inline: the
+/// machines convert every sample of every collective.
+inline Word pack_sample(std::complex<double> v) {
+  const float re = static_cast<float>(v.real());
+  const float im = static_cast<float>(v.imag());
+  const auto re_bits = std::bit_cast<std::uint32_t>(re);
+  const auto im_bits = std::bit_cast<std::uint32_t>(im);
+  return (static_cast<Word>(re_bits) << 32) | im_bits;
+}
+inline std::complex<double> unpack_sample(Word w) {
+  const auto re = std::bit_cast<float>(static_cast<std::uint32_t>(w >> 32));
+  const auto im =
+      std::bit_cast<float>(static_cast<std::uint32_t>(w & 0xFFFFFFFFULL));
+  return {static_cast<double>(re), static_cast<double>(im)};
+}
 
 /// Local state of one processing element during a machine run.
 class Processor {

@@ -107,7 +107,7 @@ double PsyncMachine::begin_run(std::vector<Phase>* phases) {
 }
 
 std::vector<Word> PsyncMachine::transmit(
-    const std::vector<Word>& sent, const std::vector<Collision>* collisions,
+    std::vector<Word> sent, const std::vector<Collision>* collisions,
     bool gather_side, double* tail_ns) {
   *tail_ns = 0.0;
   if (channel_ == nullptr) {
@@ -141,26 +141,36 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   const std::size_t B = rpp * bs;         // samples per proc per round
   const std::size_t log2k = ilog2(k);
   const std::size_t log2bs = ilog2(bs);
+  const std::size_t log2B = ilog2(B);
+  // The constructor admits only power-of-two dimensions and block counts,
+  // and P divides them, so the element split below can shift and mask.
+  PSYNC_CHECK(is_pow2(B) && is_pow2(bs));
   PSYNC_CHECK(image.size() == rows * cols);
   if (cancel_ != nullptr) cancel_->poll();
 
   const CpSchedule sched = compile_scatter_round_robin(
       P, static_cast<Slot>(k), static_cast<Slot>(B));
 
-  // Burst in slot order; slot s belongs to round j, processor i, offset q.
-  // Block contents stream in bit-reversed-strided order so each block's
-  // local sub-FFT can run on arrival (Model II, Fig. 10).
+  // Burst in slot order: round j, processor i, row r, offset pos. Block
+  // contents stream in bit-reversed-strided order so each block's local
+  // sub-FFT can run on arrival (Model II, Fig. 10): offset pos of round j
+  // carries column reverse(j) + k * reverse(pos).
+  std::vector<std::size_t> pos_col(bs);
+  for (std::size_t pos = 0; pos < bs; ++pos) {
+    pos_col[pos] = k * reverse_bits(pos, log2bs);
+  }
   std::vector<Word> burst(rows * cols);
-  for (std::size_t s = 0; s < burst.size(); ++s) {
-    const std::size_t j = s / (P * B);
-    const std::size_t rem = s % (P * B);
-    const std::size_t i = rem / B;
-    const std::size_t q = rem % B;
-    const std::size_t r = q / bs;
-    const std::size_t pos = q % bs;
-    const std::size_t orig_col =
-        reverse_bits(j, log2k) + k * reverse_bits(pos, log2bs);
-    burst[s] = image[(i * rpp + r) * cols + orig_col];
+  std::size_t s = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t round_col = reverse_bits(j, log2k);
+    for (std::size_t i = 0; i < P; ++i) {
+      for (std::size_t r = 0; r < rpp; ++r) {
+        const Word* row = image.data() + (i * rpp + r) * cols + round_col;
+        for (std::size_t pos = 0; pos < bs; ++pos) {
+          burst[s++] = row[pos_col[pos]];
+        }
+      }
+    }
   }
 
   const ScatterResult sc = engine_.scatter(sched, burst);
@@ -169,44 +179,39 @@ PsyncMachine::PassResult PsyncMachine::scatter_fft_pass(
   // block is only usable once its framing (and any replay) resolved, so
   // the tail conservatively delays every block's ready time.
   double tail_ns = 0.0;
-  const std::vector<Word> delivered = transmit(burst, nullptr, false, &tail_ns);
+  const std::vector<Word> delivered =
+      transmit(std::move(burst), nullptr, false, &tail_ns);
 
-  std::vector<std::vector<double>> block_done(
-      P, std::vector<double>(k, start_ns));
+  // block_done[i * k + j]: when processor i's block j has fully arrived.
+  std::vector<double> block_done(P * k, start_ns);
   for (auto& proc : procs_) {
     proc.data().assign(rpp * cols, {0.0, 0.0});
   }
-  for (const auto& d : sc.deliveries) {
-    const auto i = static_cast<std::size_t>(d.node);
-    const auto e = static_cast<std::size_t>(d.element);
-    const std::size_t j = e / B;
-    const std::size_t q = e % B;
-    const std::size_t r = q / bs;
-    const std::size_t pos = q % bs;
-    procs_[i].data()[r * cols + j * bs + pos] =
-        unpack_sample(delivered[static_cast<std::size_t>(d.slot)]);
-    const double at =
-        start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns;
-    block_done[i][j] = std::max(block_done[i][j], at);
-  }
-
   PassResult out;
   out.delivery_end_ns = start_ns;
   for (const auto& d : sc.deliveries) {
-    out.delivery_end_ns =
-        std::max(out.delivery_end_ns,
-                 start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns);
+    // Element e is round j, row r, offset pos.
+    const auto i = static_cast<std::size_t>(d.node);
+    const auto e = static_cast<std::size_t>(d.element);
+    const std::size_t j = e >> log2B;
+    const std::size_t q = e & (B - 1);
+    procs_[i].data()[(q >> log2bs) * cols + j * bs + (q & (bs - 1))] =
+        unpack_sample(delivered[static_cast<std::size_t>(d.slot)]);
+    const double at =
+        start_ns + static_cast<double>(d.arrival_ps) * 1e-3 + tail_ns;
+    block_done[i * k + j] = std::max(block_done[i * k + j], at);
+    out.delivery_end_ns = std::max(out.delivery_end_ns, at);
   }
 
   const fft::FftPlan& plan = fft::shared_plan(cols);
-  out.compute_begin_ns = block_done[0][0];
+  out.compute_begin_ns = block_done[0];
   out.compute_end_ns = start_ns;
   for (std::size_t i = 0; i < P; ++i) {
     // Cycle-batch boundary: one poll per processor's compute pass.
     if (cancel_ != nullptr) cancel_->poll();
     double cursor = start_ns;
     for (std::size_t j = 0; j < k; ++j) {
-      cursor = std::max(cursor, block_done[i][j]);
+      cursor = std::max(cursor, block_done[i * k + j]);
       for (std::size_t r = 0; r < rpp; ++r) {
         const double ns =
             procs_[i].fft_row_stages(plan, r, cols, 0, log2bs, j * bs, bs);
@@ -237,12 +242,11 @@ double PsyncMachine::gather_to_dram(
   const GatherResult g = engine_.gather(sched, node_data);
   collisions_ += g.collisions.size();
   gap_free_ = gap_free_ && g.gap_free;
-  const auto words = g.words();
   // The head node decodes the landed stream; collision-flagged or CRC-bad
   // blocks are re-requested from the array, extending the phase.
   double tail_ns = 0.0;
   const std::vector<Word> delivered =
-      transmit(words, &g.collisions, /*gather_side=*/true, &tail_ns);
+      transmit(g.words(), &g.collisions, /*gather_side=*/true, &tail_ns);
   const StreamReport rep = head_.writeback(delivered, 0, params_.sample_bits);
   const double span_ns = static_cast<double>(g.span_ps) * 1e-3 + tail_ns;
   const double dur = std::max(span_ns, rep.dram_ns);

@@ -216,8 +216,9 @@ class PsyncMachine {
   /// Push a collective's word stream through the protected channel.
   /// Returns the delivered words and sets `*tail_ns` to the bus time the
   /// reliability layer appended (coding slots, replays, backoff). With no
-  /// channel the stream passes through untouched and `*tail_ns` is 0.
-  std::vector<Word> transmit(const std::vector<Word>& sent,
+  /// channel the stream passes through untouched (moved, not copied) and
+  /// `*tail_ns` is 0.
+  std::vector<Word> transmit(std::vector<Word> sent,
                              const std::vector<Collision>* collisions,
                              bool gather_side, double* tail_ns);
 

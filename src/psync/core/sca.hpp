@@ -16,10 +16,25 @@
 //    injected per-node timing faults;
 //  * optionally, the optical link budget for the farthest node is verified
 //    (Eq. 1-3) before any transaction is admitted.
+//
+// Why the gather does not sort. In integer picoseconds the terminus
+// arrival of slot s driven by node i is exactly slot_arrival_ps(s) +
+// skew_i: the x_i terms cancel. With no skew, arrival order therefore IS
+// slot order, and the gather places each record at index slot - lo (lo the
+// lowest driven slot) in O(n), with the clock terms evaluated once per
+// node rather than per slot. The std::sort on (arrival, slot) still runs
+// in two cases: (a) the driven slots do not tile [lo, hi] exactly once
+// (holes, or a slot driven twice with strict = false): records are built
+// in node order and sorted, ties included, as the oracle does; (b) placed
+// records whose arrivals a per-node skew has reordered. The placement
+// buffer is sized by the driven-slot count, never by the slot span. The
+// original record-and-sort gather lives on as a test oracle in
+// psync/oracle/reference_sca.hpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "psync/common/units.hpp"
@@ -86,6 +101,35 @@ struct GatherResult {
   /// Payload words in slot order (convenience view of `stream`).
   std::vector<Word> words() const;
 };
+
+/// Clock terms of one gather, per node: node i imprints slot s at
+/// modulated_base_ps[i] + s*period_ps, and the energy reaches the terminus
+/// at arrival_base_ps[i] + s*period_ps. Every SCA engine reduces its
+/// topology (flight times, skews, repeaters) to this form.
+struct GatherClock {
+  TimePs period_ps = 0;
+  std::vector<TimePs> modulated_base_ps;
+  std::vector<TimePs> arrival_base_ps;
+};
+
+/// Error texts of the engine running a gather.
+struct GatherErrors {
+  const char* who = "gather";  // prefix of the engine's messages
+  std::string (*size_mismatch)(std::size_t node, std::size_t words,
+                               std::size_t slots) = nullptr;  // strict only
+  std::string (*collision)(const Collision& first) = nullptr;  // strict only
+};
+
+/// The gather datapath every SCA engine shares: node i drives its local
+/// `node_data[i]` words in the slots its CP claims (element j -> j-th
+/// claimed slot), timed by `clock`; returns the terminus stream, its
+/// collisions and its statistics. With `strict`, throws SimulationError on
+/// any collision or CP/data size mismatch. Throws SimulationError when the
+/// CP's slot range leaves the slot counter or the picosecond clock.
+GatherResult run_gather(const CpSchedule& schedule,
+                        const std::vector<std::vector<Word>>& node_data,
+                        const GatherClock& clock, const GatherErrors& errors,
+                        bool strict);
 
 /// One word delivered to a node during a scatter.
 struct DeliveryRecord {

@@ -94,81 +94,44 @@ TimePs SegmentedScaEngine::slot_arrival_ps(Slot s) const {
              topo_.repeater_latency_ps;
 }
 
+namespace {
+
+const GatherErrors kSegmentedGatherErrors{
+    "segmented gather",
+    [](std::size_t node, std::size_t, std::size_t) {
+      return "segmented gather: node " + std::to_string(node) +
+             " data/CP size mismatch";
+    },
+    [](const Collision&) {
+      return std::string("segmented gather: waveguide collision");
+    }};
+
+}  // namespace
+
 GatherResult SegmentedScaEngine::gather(
     const CpSchedule& schedule, const std::vector<std::vector<Word>>& node_data,
     bool strict) const {
   if (schedule.nodes() != topo_.nodes() || node_data.size() != topo_.nodes()) {
     throw SimulationError("segmented gather: node count mismatch");
   }
-  const TimePs period = clock_.period_ps();
-  GatherResult out;
+  // A node's perceived edge carries its upstream repeaters; its energy
+  // picks up the downstream ones on the way to the terminus.
+  GatherClock clock{clock_.period_ps(), {}, {}};
+  clock.modulated_base_ps.reserve(topo_.nodes());
+  clock.arrival_base_ps.reserve(topo_.nodes());
+  const TimePs terminus = clock_.flight_ps(topo_.terminus_um);
   for (std::size_t i = 0; i < topo_.nodes(); ++i) {
     const double x = topo_.node_pos_um[i];
     const auto downstream =
         topo_.repeater_pos_um.size() - topo_.repeaters_before(x);
-    std::size_t element = 0;
-    for (const CpEntry& e : schedule.node_cps[i].entries()) {
-      if (e.action != CpAction::kDrive) continue;
-      for (Slot s = e.begin; s < e.end(); ++s, ++element) {
-        if (element >= node_data[i].size()) {
-          throw SimulationError("segmented gather: node " + std::to_string(i) +
-                                " CP drives more slots than it has data");
-        }
-        SlotRecord rec;
-        rec.slot = s;
-        rec.word = node_data[i][element];
-        rec.source = static_cast<std::int32_t>(i);
-        rec.modulated_ps = perceived_edge_ps(i, s);
-        rec.arrival_ps =
-            rec.modulated_ps +
-            (clock_.flight_ps(topo_.terminus_um) - clock_.flight_ps(x)) +
-            static_cast<TimePs>(downstream) * topo_.repeater_latency_ps;
-        out.stream.push_back(rec);
-      }
-    }
-    if (strict && element != node_data[i].size()) {
-      throw SimulationError("segmented gather: node " + std::to_string(i) +
-                            " data/CP size mismatch");
-    }
+    const TimePs modulated = perceived_edge_ps(i, 0);
+    clock.modulated_base_ps.push_back(modulated);
+    clock.arrival_base_ps.push_back(
+        modulated + (terminus - clock_.flight_ps(x)) +
+        static_cast<TimePs>(downstream) * topo_.repeater_latency_ps);
   }
-  std::sort(out.stream.begin(), out.stream.end(),
-            [](const SlotRecord& a, const SlotRecord& b) {
-              if (a.arrival_ps != b.arrival_ps) return a.arrival_ps < b.arrival_ps;
-              return a.slot < b.slot;
-            });
-  for (std::size_t i = 1; i < out.stream.size(); ++i) {
-    const auto& a = out.stream[i - 1];
-    const auto& b = out.stream[i];
-    const TimePs overlap = (a.arrival_ps + period) - b.arrival_ps;
-    if (overlap > 0 && a.source != b.source) {
-      out.collisions.push_back(
-          Collision{a.source, b.source, a.slot, b.slot, overlap});
-    }
-  }
-  if (strict && !out.collisions.empty()) {
-    throw SimulationError("segmented gather: waveguide collision");
-  }
-  if (!out.stream.empty()) {
-    out.first_arrival_ps = out.stream.front().arrival_ps;
-    TimePs first_mod = out.stream.front().modulated_ps;
-    for (const auto& r : out.stream) {
-      first_mod = std::min(first_mod, r.modulated_ps);
-    }
-    out.span_ps = (out.stream.back().arrival_ps + period) - first_mod;
-    out.gap_free = true;
-    for (std::size_t i = 1; i < out.stream.size(); ++i) {
-      if (out.stream[i].arrival_ps - out.stream[i - 1].arrival_ps != period) {
-        out.gap_free = false;
-        break;
-      }
-    }
-    const TimePs window =
-        (out.stream.back().arrival_ps - out.stream.front().arrival_ps) + period;
-    out.utilization = static_cast<double>(out.stream.size()) *
-                      static_cast<double>(period) /
-                      static_cast<double>(window);
-  }
-  return out;
+  return run_gather(schedule, node_data, clock, kSegmentedGatherErrors,
+                    strict);
 }
 
 ScatterResult SegmentedScaEngine::scatter(const CpSchedule& schedule,
@@ -196,6 +159,10 @@ ScatterResult SegmentedScaEngine::scatter(const CpSchedule& schedule,
       }
     }
   }
+  std::vector<TimePs> edge0(topo_.nodes());
+  for (std::size_t i = 0; i < topo_.nodes(); ++i) {
+    edge0[i] = perceived_edge_ps(i, 0);
+  }
   std::vector<std::size_t> next_element(topo_.nodes(), 0);
   for (std::size_t s = 0; s < burst.size(); ++s) {
     const std::int32_t node = owner[s];
@@ -209,8 +176,8 @@ ScatterResult SegmentedScaEngine::scatter(const CpSchedule& schedule,
     rec.node = node;
     rec.element =
         static_cast<std::int64_t>(next_element[static_cast<std::size_t>(node)]++);
-    rec.arrival_ps = perceived_edge_ps(static_cast<std::size_t>(node),
-                                       static_cast<Slot>(s));
+    rec.arrival_ps = edge0[static_cast<std::size_t>(node)] +
+                     static_cast<Slot>(s) * clock_.period_ps();
     out.deliveries.push_back(rec);
     out.received[static_cast<std::size_t>(node)].push_back(burst[s]);
   }

@@ -8,6 +8,7 @@
 
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
+#include "psync/oracle/reference_sca.hpp"
 
 namespace psync::core {
 namespace {
@@ -166,6 +167,46 @@ TEST(ScaGather, DataSizeMismatchRejected) {
   const auto sched = compile_gather_blocks(2, 4);
   std::vector<std::vector<Word>> too_few{{1, 2, 3}, {1, 2, 3, 4}};
   EXPECT_THROW((void)engine.gather(sched, too_few), SimulationError);
+}
+
+TEST(ScaGather, FarFlungSlotTakesTheSortPath) {
+  // Nine driven slots spanning 2^40: the placement buffer would need 2^40
+  // records, so the gather must fall back to the sort, sized by the nine.
+  ScaEngine engine(straight_bus_topology(2, 8.0));
+  CpSchedule sched;
+  sched.node_cps.resize(2);
+  sched.node_cps[0].add(CpStride{0, 8, 8, 1, CpAction::kDrive});
+  constexpr Slot kFar = Slot{1} << 40;
+  sched.node_cps[1].add(CpStride{kFar, 1, 1, 1, CpAction::kDrive});
+  sched.total_slots = kFar + 1;
+  const auto data = numbered_data(sched);
+  const auto g = engine.gather(sched, data);
+  ASSERT_EQ(g.stream.size(), 9u);
+  EXPECT_EQ(g.stream.back().slot, kFar);
+  EXPECT_FALSE(g.gap_free);
+  EXPECT_TRUE(g.collisions.empty());
+  const auto want = oracle::gather_reference(engine, sched, data);
+  EXPECT_EQ(g.words(), want.words());
+  EXPECT_EQ(g.utilization, want.utilization);
+  EXPECT_EQ(g.span_ps, want.span_ps);
+}
+
+TEST(ScaGather, SlotBeyondThePicosecondClockIsATypedError) {
+  // Slot 2^62 at 100 ps per slot is past 2^63 ps: the gather must raise a
+  // SimulationError, not size a buffer by the span or overflow the clock.
+  ScaEngine engine(straight_bus_topology(2, 8.0));
+  CpSchedule sched;
+  sched.node_cps.resize(2);
+  sched.node_cps[0].add(CpStride{0, 8, 8, 1, CpAction::kDrive});
+  sched.node_cps[1].add(CpStride{Slot{1} << 62, 1, 1, 1, CpAction::kDrive});
+  const auto data = numbered_data(sched);
+  EXPECT_THROW((void)engine.gather(sched, data), SimulationError);
+  EXPECT_THROW((void)engine.gather(sched, data, false), SimulationError);
+  // A stride whose last burst lies past the slot counter itself.
+  sched.node_cps[1] = CommProgram();
+  sched.node_cps[1].add(CpStride{1, 1, Slot{1} << 61, 8, CpAction::kDrive});
+  EXPECT_THROW((void)engine.gather(sched, numbered_data(sched), false),
+               SimulationError);
 }
 
 TEST(ScaGather, SpanCoversModulationToLastArrival) {
