@@ -12,31 +12,21 @@ namespace {
 
 constexpr std::int64_t kMaxPhaseCycles = 400'000'000;
 
-/// Ejection sink for a processor node during delivery phases: stores words
-/// at (head tag + position) into a local buffer and counts itself into the
-/// phase's `finished` tally when its last expected word lands, so the phase
-/// loop tests completion in O(1) instead of scanning every sink.
+/// Ejection sink for a processor node during delivery: records when its
+/// last expected word lands (the words themselves move by permutation) and
+/// counts itself into the phase's `finished` tally then, so the phase loop
+/// tests completion in O(1) instead of scanning every sink.
 class ProcSink final : public mesh::Sink {
  public:
   void expect(std::uint64_t elements, std::size_t* finished) {
     expected_ = elements;
     finished_ = finished;
   }
-  void attach(std::vector<Word>* buffer) { buffer_ = buffer; }
 
   bool accept(const mesh::Flit& flit, std::int64_t cycle) override {
     if (cycle == used_cycle_) return false;  // one flit per cycle
     used_cycle_ = cycle;
-    if (flit.is_head() && !flit.is_tail()) {
-      base_ = flit.payload;
-      pos_ = 0;
-      return true;
-    }
-    PSYNC_CHECK(buffer_ != nullptr);
-    const std::uint64_t idx = base_ + pos_;
-    PSYNC_CHECK_MSG(idx < buffer_->size(), "delivery outside local buffer");
-    (*buffer_)[idx] = flit.payload;
-    ++pos_;
+    if (flit.is_head() && !flit.is_tail()) return true;
     if (++received_ == expected_) ++*finished_;
     last_arrival_ = cycle;
     return true;
@@ -45,14 +35,20 @@ class ProcSink final : public mesh::Sink {
   std::int64_t last_arrival() const { return last_arrival_; }
 
  private:
-  std::vector<Word>* buffer_ = nullptr;
   std::size_t* finished_ = nullptr;
   std::uint64_t expected_ = 0;
   std::uint64_t received_ = 0;
-  std::uint64_t base_ = 0;
-  std::uint64_t pos_ = 0;
   std::int64_t last_arrival_ = 0;
   std::int64_t used_cycle_ = -1;
+};
+
+/// The timing of a Model I delivery. Both of run_fft2d's deliveries send
+/// per_proc = R*C/P words to every processor from the memory node at cycle
+/// 0, so one simulation times both.
+struct DeliveryTiming {
+  std::size_t per_proc = 0;
+  std::vector<std::int64_t> last_arrival;  // per sink, in cycles
+  mesh::MeshActivity activity;
 };
 
 }  // namespace
@@ -218,54 +214,61 @@ MeshRunReport MeshMachine::run_fft2d(
     activity.ejected_packets += a.ejected_packets;
   };
 
-  // Serial Model I delivery of a row-major (rows x cols) image from the
-  // memory node: processor i receives its `per_proc` words tagged with
-  // proc-local indices. Returns per-proc delivery-done times (ns, absolute).
-  auto deliver = [&](const std::vector<Word>& image, std::size_t per_proc,
-                     double start_ns, Phase& phase) {
-    mesh::Mesh net(params_.net);
-    std::vector<ProcSink> sinks(P);
-    std::vector<std::vector<Word>> local(P, std::vector<Word>(per_proc));
-    std::size_t finished = per_proc == 0 ? P : 0;
-    for (std::size_t i = 0; i < P; ++i) {
-      sinks[i].expect(per_proc, &finished);
-      sinks[i].attach(&local[i]);
-      net.set_sink(static_cast<mesh::NodeId>(i), &sinks[i]);
-    }
-    PSYNC_CHECK(per_proc % epp == 0);
-    for (std::size_t i = 0; i < P; ++i) {
-      for (std::size_t e = 0; e < per_proc; e += epp) {
-        mesh::PacketDesc d;
-        d.src = params_.memory_node;
-        d.dst = static_cast<mesh::NodeId>(i);
-        d.payload_flits = epp;
-        d.payload_base = e;
-        d.words.assign(image.begin() + static_cast<std::ptrdiff_t>(i * per_proc + e),
-                       image.begin() + static_cast<std::ptrdiff_t>(i * per_proc + e + epp));
-        net.inject(d);
+  // Serial Model I delivery of a row-major image, read through `word_at`:
+  // processor i receives words i*per_proc onward, tagged with proc-local
+  // indices. The traffic depends only on per_proc, so it is simulated once
+  // per call. Returns per-proc delivery-done times (ns, absolute).
+  DeliveryTiming timing;
+  auto deliver = [&](auto word_at, std::size_t per_proc, double start_ns,
+                     Phase& phase) {
+    if (timing.last_arrival.empty()) {
+      mesh::Mesh net(params_.net);
+      std::vector<ProcSink> sinks(P);
+      std::size_t finished = per_proc == 0 ? P : 0;
+      for (std::size_t i = 0; i < P; ++i) {
+        sinks[i].expect(per_proc, &finished);
+        net.set_sink(static_cast<mesh::NodeId>(i), &sinks[i]);
       }
+      PSYNC_CHECK(per_proc % epp == 0);
+      for (std::size_t i = 0; i < P; ++i) {
+        for (std::size_t e = 0; e < per_proc; e += epp) {
+          mesh::PacketDesc d;
+          d.src = params_.memory_node;
+          d.dst = static_cast<mesh::NodeId>(i);
+          d.payload_flits = epp;
+          d.payload_base = e;
+          net.inject(d);
+        }
+      }
+      step_until(net, [&] { return finished == P; }, "MeshMachine delivery");
+      timing.per_proc = per_proc;
+      for (const auto& sink : sinks) {
+        timing.last_arrival.push_back(sink.last_arrival());
+      }
+      timing.activity = net.activity();
     }
-    step_until(net, [&] { return finished == P; }, "MeshMachine delivery");
+    PSYNC_CHECK(timing.per_proc == per_proc);
     std::vector<double> done_ns(P);
     double last = start_ns;
     for (std::size_t i = 0; i < P; ++i) {
       done_ns[i] = start_ns +
-                   static_cast<double>(sinks[i].last_arrival() + 1) * cycle_ns();
+                   static_cast<double>(timing.last_arrival[i] + 1) * cycle_ns();
       last = std::max(last, done_ns[i]);
       procs[i].data().resize(per_proc);
       for (std::size_t e = 0; e < per_proc; ++e) {
-        procs[i].data()[e] = unpack_sample(local[i][e]);
+        procs[i].data()[e] = unpack_sample(word_at(i * per_proc + e));
       }
     }
     phase.start_ns = start_ns;
     phase.end_ns = last;
-    accumulate(net.activity());
+    accumulate(timing.activity);
     return done_ns;
   };
 
   // Writeback of every processor's local block to the single memory port,
   // with per-processor release at its compute-done time. `addr_of` maps a
-  // source-linear element index to a memory image index.
+  // source-linear element index (the packet tags) to a memory image index;
+  // the mesh times the traffic and the words land by that permutation.
   auto writeback = [&](const std::vector<double>& ready_ns,
                        std::size_t per_proc, auto addr_of, Phase& phase,
                        std::vector<Word>& out_image) {
@@ -273,9 +276,6 @@ MeshRunReport MeshMachine::run_fft2d(
     const std::uint64_t total = static_cast<std::uint64_t>(P) * per_proc;
     mesh::MemoryInterface mi(params_.mi, total);
     out_image.assign(total, 0);
-    mi.set_collector([&](mesh::NodeId, std::uint64_t idx, std::uint64_t word) {
-      out_image[addr_of(idx)] = word;
-    });
     net.set_sink(params_.memory_node, &mi);
 
     const double t0 = *std::min_element(ready_ns.begin(), ready_ns.end());
@@ -283,16 +283,16 @@ MeshRunReport MeshMachine::run_fft2d(
     for (std::size_t i = 0; i < P; ++i) {
       const auto release = static_cast<std::int64_t>(
           std::ceil((ready_ns[i] - t0) / cycle_ns()));
+      const std::uint64_t base = static_cast<std::uint64_t>(i) * per_proc;
+      for (std::size_t e = 0; e < per_proc; ++e) {
+        out_image[addr_of(base + e)] = pack_sample(procs[i].data()[e]);
+      }
       for (std::size_t e = 0; e < per_proc; e += epp) {
         mesh::PacketDesc d;
         d.src = static_cast<mesh::NodeId>(i);
         d.dst = params_.memory_node;
         d.payload_flits = epp;
-        d.payload_base = static_cast<std::uint64_t>(i) * per_proc + e;
-        d.words.resize(epp);
-        for (std::uint32_t w = 0; w < epp; ++w) {
-          d.words[w] = pack_sample(procs[i].data()[e + w]);
-        }
+        d.payload_base = base + e;
         d.release_cycle = release;
         net.inject(d);
       }
@@ -306,11 +306,10 @@ MeshRunReport MeshMachine::run_fft2d(
   };
 
   // ---- Pass 1: deliver rows, row FFTs ----
-  std::vector<Word> image(R * C);
-  for (std::size_t i = 0; i < input.size(); ++i) image[i] = pack_sample(input[i]);
-
   Phase p_sc1{"scatter_rows", 0, 0};
-  const auto deliver1_done = deliver(image, rpp * C, 0.0, p_sc1);
+  const auto deliver1_done = deliver(
+      [&](std::size_t k) { return pack_sample(input[k]); }, rpp * C, 0.0,
+      p_sc1);
 
   Phase p_fft1{"row_ffts", 0, 0};
   std::vector<double> fft1_done(P);
@@ -341,7 +340,8 @@ MeshRunReport MeshMachine::run_fft2d(
 
   // ---- Pass 2: deliver columns, column FFTs ----
   Phase p_sc2{"scatter_cols", 0, 0};
-  const auto deliver2_done = deliver(image_t, cpp * R, t_tr_end, p_sc2);
+  const auto deliver2_done = deliver(
+      [&](std::size_t k) { return image_t[k]; }, cpp * R, t_tr_end, p_sc2);
 
   Phase p_fft2{"col_ffts", 0, 0};
   std::vector<double> fft2_done(P);

@@ -93,7 +93,13 @@ class MeshMachine {
       std::uint32_t elements_per_node, std::uint32_t ports);
 
   /// Full functional 2D FFT flow with Model I delivery; verifies the result
-  /// against fft::fft2d when `verify`. Intended for small/medium sizes.
+  /// against fft::fft2d when `verify`. The mesh times the traffic and
+  /// carries no data: every packet is tagged with its elements' indices,
+  /// and the words move by the permutation those tags encode. Both
+  /// deliveries send R*C/P words to every processor from the memory node
+  /// at cycle 0, so the delivery is simulated once and its timing applied
+  /// to both; the two writebacks release at compute-done times and are
+  /// each simulated.
   MeshRunReport run_fft2d(const std::vector<std::complex<double>>& input,
                           bool verify = true);
 

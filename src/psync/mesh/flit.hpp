@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace psync::mesh {
 
@@ -40,17 +39,16 @@ std::string to_string(const Flit& f);
 
 /// A packet to inject: expands to 1 head flit + `payload_flits` body flits
 /// (the last payload flit is the tail; zero-payload packets are head-tail).
+/// The mesh times traffic and carries no data: like a TLM transaction, a
+/// packet names its data by tag, and the machine moves the data itself.
 struct PacketDesc {
   NodeId src = 0;
   NodeId dst = 0;
   std::uint32_t payload_flits = 0;
-  /// Head-flit payload (an address/tag in machine runs). When `words` is
-  /// empty, body flit i carries payload_base + i so tests can check
-  /// integrity end to end.
+  /// Head-flit payload (an address/tag in machine runs). Body flit i
+  /// carries payload_base + i, so sinks see each element's tag and tests
+  /// can check integrity end to end.
   std::uint64_t payload_base = 0;
-  /// Optional explicit payload words (size == payload_flits); used by the
-  /// machine simulators to move real data through the network.
-  std::vector<std::uint64_t> words;
   /// Earliest cycle at which the packet may start injecting.
   std::int64_t release_cycle = 0;
 };

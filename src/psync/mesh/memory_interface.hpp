@@ -37,8 +37,9 @@ struct MemoryInterfaceParams {
 class MemoryInterface final : public Sink {
  public:
   /// Called for every data element the interface commits: (source node,
-  /// element index = head-flit tag + position, payload word). Lets machine
-  /// simulators reconstruct the memory image the writeback produced.
+  /// element index = head-flit tag + position, payload word). An
+  /// observation hook for tests: the mesh carries tags rather than data,
+  /// so machines place their words by tag without it.
   using Collector = std::function<void(NodeId, std::uint64_t, std::uint64_t)>;
 
   MemoryInterface(MemoryInterfaceParams params,

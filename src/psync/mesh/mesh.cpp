@@ -263,14 +263,12 @@ Flit Mesh::make_flit(std::uint64_t word) const {
   const std::uint32_t seq = slot_seq(word);
   const std::uint32_t nflits = pr_flits_[pkt];
   FlitKind kind;
-  std::uint64_t payload;
+  std::uint64_t payload = pr_base_[pkt];
   if (seq == 0) {
     kind = nflits == 0 ? FlitKind::kHeadTail : FlitKind::kHead;
-    payload = pr_base_[pkt];
   } else {
     kind = seq == nflits ? FlitKind::kTail : FlitKind::kBody;
-    payload = pr_word_[pkt] == kNoWords ? pr_base_[pkt] + (seq - 1)
-                                        : words_[pr_word_[pkt] + (seq - 1)];
+    payload += seq - 1;
   }
   return Flit{pkt, pr_src_[pkt], pr_dst_[pkt], seq, kind, payload};
 }
@@ -549,8 +547,6 @@ void Mesh::enqueue_packet(PacketId id) {
 void Mesh::inject(const PacketDesc& desc) {
   PSYNC_CHECK(desc.src < nodes());
   PSYNC_CHECK(desc.dst < nodes());
-  PSYNC_CHECK_MSG(desc.words.empty() || desc.words.size() == desc.payload_flits,
-                  "PacketDesc.words size must match payload_flits");
   // The ring-slot word keeps the sequence number in 31 bits (bit 63 is the
   // tail flag); a packet this long could not be buffered anyway.
   PSYNC_CHECK_MSG(desc.payload_flits < 0x80000000u,
@@ -562,12 +558,6 @@ void Mesh::inject(const PacketDesc& desc) {
   pr_flits_.push_back(desc.payload_flits);
   pr_base_.push_back(desc.payload_base);
   pr_qnext_.push_back(kNil);
-  if (desc.words.empty()) {
-    pr_word_.push_back(kNoWords);
-  } else {
-    pr_word_.push_back(static_cast<std::uint32_t>(words_.size()));
-    words_.insert(words_.end(), desc.words.begin(), desc.words.end());
-  }
   ++activity_.injected_packets;
   ++in_flight_packets_;
   if (desc.release_cycle <= cycle_) {

@@ -13,21 +13,24 @@
 //
 // Datapath layout: this class is the structure-of-arrays rewrite of the
 // original array-of-structs model, which lives on as a test oracle
-// (oracle/reference_mesh.hpp). Packet fields (src/dst/flit count/payload
-// base/payload words) live in flat parallel arrays indexed by packet id,
-// captured at inject() time; a ring slot then holds a single packed word —
+// (oracle/reference_mesh.hpp). Packet fields (src/dst/flit count/tag
+// base) live in flat parallel arrays indexed by packet id, captured at
+// inject() time; a ring slot then holds a single packed word —
 // packet id, sequence number, tail bit — because every other flit field is
 // a pure function of (packet, seq). A link traversal is one 64-bit copy,
 // and the full Flit is reconstructed only at the sink boundary. Per-VC
 // routing and allocation state are byte arrays contiguous per router, so
 // the hot scans (update_routing / serve_outputs / keep-awake) test a whole
 // router's five input VCs with one unaligned 64-bit load and SWAR byte
-// masks instead of chasing 40-byte Flit copies. Payload words move into an
-// arena at inject() time, so nothing vector-sized rides through the release
-// queue. FIFO occupancy and credits are bytes, so buffer_depth is bounded
-// by kMaxBufferDepth (255). This is the only mesh datapath; the
-// differential suite (test_mesh_soa) checks it against the oracle, byte for
-// byte, on identical traffic.
+// masks instead of chasing 40-byte Flit copies. FIFO occupancy and credits
+// are bytes, so buffer_depth is bounded by kMaxBufferDepth (255). This is
+// the only mesh datapath; the differential suite (test_mesh_soa) checks
+// it against the oracle, byte for byte, on identical traffic.
+//
+// The mesh carries timing, not data, as a TLM model keeps payload apart
+// from timing: body flit i of a packet carries its tag, payload_base + i,
+// and machines move their data by the permutation those tags encode
+// (core/mesh_machine.cpp).
 //
 // Ejection at a node goes to a Sink; memory interfaces (memory_interface.hpp)
 // and simple consumers implement this interface. Sinks are self-clocked:
@@ -121,12 +124,9 @@ class Mesh {
   static constexpr std::int8_t kFree8 = -1;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;  // packet-list end
   static constexpr std::uint8_t kNoHint8 = 0xFF;      // serve_hint_ empty
-  static constexpr std::uint32_t kNoWords = 0xFFFFFFFFu;
 
   /// Release-queue entry: just the packet id. Every other field of the
-  /// original PacketDesc (including its payload vector) was captured into
-  /// the pr_* / words_ arenas at inject() time, so releases are POD and the
-  /// calendar queue never copies a heap allocation.
+  /// PacketDesc was captured into the pr_* arrays at inject() time.
   struct Release {
     PacketId id;
   };
@@ -257,15 +257,13 @@ class Mesh {
   std::vector<std::uint8_t> inject_vc_rr_;  // per node
 
   // Packet records, indexed by PacketId: everything inject() captured from
-  // the PacketDesc. pr_word_ points into words_ (kNoWords = synthesize
-  // payload_base + i); pr_qnext_ is the intrusive inject-queue link.
+  // the PacketDesc (there is no payload to keep: body flit i carries
+  // pr_base_ + i); pr_qnext_ is the intrusive inject-queue link.
   std::vector<NodeId> pr_src_;
   std::vector<NodeId> pr_dst_;
   std::vector<std::uint32_t> pr_flits_;  // payload flits (0 = head-tail)
   std::vector<std::uint64_t> pr_base_;
-  std::vector<std::uint32_t> pr_word_;
   std::vector<std::uint32_t> pr_qnext_;
-  std::vector<std::uint64_t> words_;  // payload word arena
 
   // Inject queues: one intrusive packet FIFO per (node, local VC), plus the
   // next flit seq to synthesize for the head packet.

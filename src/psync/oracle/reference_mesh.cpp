@@ -334,8 +334,6 @@ void ReferenceMesh::inject(const PacketDesc& desc) {
 }
 
 void ReferenceMesh::expand_packet(PacketId id, const PacketDesc& desc) {
-  PSYNC_CHECK_MSG(desc.words.empty() || desc.words.size() == desc.payload_flits,
-                  "PacketDesc.words size must match payload_flits");
   queued_flits_ += desc.payload_flits == 0 ? 1 : desc.payload_flits + 1;
   // Assign the whole packet to one local VC, rotating per packet.
   const int vc = static_cast<int>(id) % vcs();
@@ -350,7 +348,7 @@ void ReferenceMesh::expand_packet(PacketId id, const PacketDesc& desc) {
     const bool last = (i + 1 == desc.payload_flits);
     q.push_back(Flit{id, desc.src, desc.dst, i + 1,
                      last ? FlitKind::kTail : FlitKind::kBody,
-                     desc.words.empty() ? desc.payload_base + i : desc.words[i]});
+                     desc.payload_base + i});
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "psync/common/check.hpp"
 #include "psync/common/rng.hpp"
 #include "psync/core/psync_machine.hpp"
@@ -135,6 +140,79 @@ TEST(MeshMachine, ResultsMatchPsyncMachineBitwiseAtFloat32) {
     max_err = std::max(max_err, std::abs(a[i] - b[i]));
   }
   EXPECT_LT(max_err, 1e-3);
+}
+
+// FNV-1a over the bytes of every real and imaginary part.
+std::uint64_t digest(const std::vector<std::complex<double>>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& c : v) {
+    for (const double x : {c.real(), c.imag()}) {
+      const auto bits = std::bit_cast<std::uint64_t>(x);
+      for (int k = 0; k < 64; k += 8) {
+        h ^= (bits >> k) & 0xFF;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// The whole fft2d report, pinned exactly: phase bounds, network energy,
+// numerical error and the final memory image. A change to how the machine
+// moves or times its data must leave every figure here as it is. The first
+// run has a non-square image and the memory port off the corner, at t_p 4.
+TEST(MeshMachine, Fft2dReportIsPinned) {
+  struct Expected {
+    std::size_t grid, rows, cols;
+    std::uint32_t memory_node, t_p;
+    std::uint64_t seed;
+    double bounds[6][2];
+    double comm_energy_pj;
+    double max_error;
+    std::uint64_t result_digest;
+  };
+  const Expected runs[] = {
+      {4, 64, 128, 5, 4, 11,
+       {{0, 4917.2000000000007},
+        {308.40000000000003, 19253.200000000001},
+        {14644.4, 34819.599999999999},
+        {34819.599999999999, 39736.800000000003},
+        {35128, 52024.800000000003},
+        {47416, 67591.199999999997}},
+       4674478.0800000001, 5.5243981211069783e-08, 0x791b62f5220ad839ULL},
+      {8, 128, 128, 0, 1, 12,
+       {{0, 11222.800000000001},
+        {128.40000000000001, 18390.800000000003},
+        {7296.3999999999996, 27982},
+        {27982, 39204.800000000003},
+        {28110.400000000001, 46372.800000000003},
+        {35278.400000000001, 55964}},
+       17793679.359999999, 4.8304678980134419e-08, 0xd0a9fbdcfc31eeafULL},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE("grid " + std::to_string(run.grid));
+    auto p = small_params(run.grid, run.rows, run.cols);
+    p.memory_node = run.memory_node;
+    p.mi.reorder_cycles_per_element = run.t_p;
+    MeshMachine m(p);
+    const auto rep = m.run_fft2d(random_matrix(run.rows * run.cols, run.seed));
+    ASSERT_EQ(rep.phases.size(), 6u);
+    for (std::size_t k = 0; k < 6; ++k) {
+      SCOPED_TRACE(rep.phases[k].name);
+      EXPECT_EQ(rep.phases[k].start_ns, run.bounds[k][0]);
+      EXPECT_EQ(rep.phases[k].end_ns, run.bounds[k][1]);
+    }
+    EXPECT_EQ(rep.total_ns, run.bounds[5][1]);
+    EXPECT_EQ(rep.comm_energy_pj, run.comm_energy_pj);
+    EXPECT_EQ(rep.max_error_vs_reference, run.max_error);
+    EXPECT_EQ(digest(m.result()), run.result_digest);
+    // Both deliveries carry R*C/P words per processor: the same traffic,
+    // so the same duration in network cycles.
+    const auto cycles = [&](const Phase& ph) {
+      return std::llround(ph.duration_ns() * p.clock_ghz);
+    };
+    EXPECT_EQ(cycles(rep.phases[0]), cycles(rep.phases[3]));
+  }
 }
 
 }  // namespace

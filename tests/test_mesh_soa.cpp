@@ -10,7 +10,10 @@
 // FIFO/credit arrays (buffer depth 255 and 128). The MeshSoaMachine cases
 // replay the traffic of MeshMachine's phases — delivery from the memory node
 // into storing sinks, and writeback into one or more MemoryInterface ports
-// whose countdowns drive the production path's quiet-cycle fast-forward.
+// whose countdowns drive the production path's quiet-cycle fast-forward —
+// and check on both meshes that every collected word equals its tag
+// (payload_base + position): the mesh carries no data, and MeshMachine
+// moves its words by exactly that tag permutation.
 #include "psync/mesh/mesh.hpp"
 
 #include <gtest/gtest.h>
@@ -334,6 +337,7 @@ struct PhaseResult {
   RunResult net;  // final cycle, activity, latency bits
   std::vector<std::vector<std::int64_t>> arrivals;  // per sink
   std::vector<std::vector<std::uint64_t>> words;    // per sink or port
+  std::uint64_t mistagged = 0;  // collected words that differ from the tag
   std::vector<std::int64_t> completion;              // per port
   std::vector<std::uint64_t> elements;               // per port
   std::vector<std::uint64_t> packets;                // per port
@@ -354,8 +358,9 @@ void finish(const Net& net, PhaseResult* r) {
   capture_latency(net, &r->net);
 }
 
-/// Delivery: the memory node (0) sends `per_node` payload words to every
-/// node, kPerPacket per packet, all released at cycle 0.
+/// Delivery: the memory node (0) sends `per_node` words to every node,
+/// kPerPacket per packet tagged with node-local indices, all released at
+/// cycle 0.
 template <typename Net>
 PhaseResult run_delivery(std::uint32_t grid, std::uint32_t vcs,
                          std::size_t per_node) {
@@ -368,7 +373,6 @@ PhaseResult run_delivery(std::uint32_t grid, std::uint32_t vcs,
     sinks.push_back(std::make_unique<StoringSink>(per_node, &finished));
     net.set_sink(n, sinks.back().get());
   }
-  Rng rng(grid * 31 + vcs);
   for (NodeId n = 0; n < n_nodes; ++n) {
     for (std::size_t e = 0; e < per_node; e += kPerPacket) {
       PacketDesc d;
@@ -376,8 +380,6 @@ PhaseResult run_delivery(std::uint32_t grid, std::uint32_t vcs,
       d.dst = n;
       d.payload_flits = kPerPacket;
       d.payload_base = e;
-      d.words.resize(kPerPacket);
-      for (auto& w : d.words) w = rng.next_u64();
       net.inject(d);
     }
   }
@@ -388,13 +390,17 @@ PhaseResult run_delivery(std::uint32_t grid, std::uint32_t vcs,
   for (const auto& s : sinks) {
     r.arrivals.push_back(s->arrivals());
     r.words.push_back(s->buffer());
+    for (std::size_t e = 0; e < per_node; ++e) {
+      r.mistagged += s->buffer()[e] != e;
+    }
   }
   return r;
 }
 
 /// Writeback: every node sends `per_node` elements (kPerPacket per packet,
-/// payload words attached), column-partitioned across `ports` memory ports
-/// at the mesh corners, each node released at a staggered cycle.
+/// tagged with source-linear indices), column-partitioned across `ports`
+/// memory ports at the mesh corners, each node released at a staggered
+/// cycle.
 template <typename Net>
 PhaseResult run_writeback(std::uint32_t grid, std::uint32_t vcs,
                           std::uint32_t t_p, std::uint32_t ports,
@@ -418,6 +424,7 @@ PhaseResult run_writeback(std::uint32_t grid, std::uint32_t vcs,
     mis.back()->set_collector(
         [&r, p](NodeId, std::uint64_t idx, std::uint64_t word) {
           r.words[p].at(idx) = word;
+          r.mistagged += word != idx;
         });
     net.set_sink(corner[p], mis.back().get());
   }
@@ -434,8 +441,6 @@ PhaseResult run_writeback(std::uint32_t grid, std::uint32_t vcs,
         d.payload_flits = kPerPacket;
         d.payload_base = static_cast<std::uint64_t>(n) * per_node +
                          static_cast<std::uint64_t>(p) * per_port_node + e;
-        d.words.resize(kPerPacket);
-        for (auto& w : d.words) w = rng.next_u64();
         d.release_cycle = release;
         net.inject(d);
       }
@@ -465,6 +470,8 @@ void expect_same_phase(const PhaseResult& ref, const PhaseResult& soa) {
   EXPECT_EQ(ref.completion, soa.completion);
   EXPECT_EQ(ref.elements, soa.elements);
   EXPECT_EQ(ref.packets, soa.packets);
+  EXPECT_EQ(ref.mistagged, 0u);
+  EXPECT_EQ(soa.mistagged, 0u);
 }
 
 // run_fft2d's traffic: a delivery phase into storing sinks, then a

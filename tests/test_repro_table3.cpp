@@ -4,12 +4,17 @@
 // wormhole mesh whose 1024 nodes each write 1024 elements back through the
 // single memory port, at t_p = 1 and t_p = 4. The results are pinned
 // exactly: a datapath change that moves them changed the simulated
-// machine, not just its speed. Registered in ctest under the `repro` label.
+// machine, not just its speed. The mesh cells are also tied to the
+// analytic stage model (analysis::mesh_writeback_cycles_estimate), which
+// they exceed by exactly two cycles, so a change to the eject or port
+// pipeline shows up as a change against the model too. Registered in
+// ctest under the `repro` label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "psync/analysis/transpose_model.hpp"
 #include "psync/core/mesh_machine.hpp"
 #include "psync/core/sca.hpp"
 #include "psync/dram/controller.hpp"
@@ -68,6 +73,13 @@ TEST(ReproTable3, FullScaleMeshCellsArePinned) {
     mp.mi.dram.row_switch_cycles = 0;
     const auto rep = MeshMachine(mp).run_transpose_writeback(kElements);
     EXPECT_EQ(rep.completion_cycle, cell.cycles) << "t_p = " << cell.t_p;
+    // The port-bound stage model plus two cycles: the port takes its first
+    // header two cycles in, and the network never starves it after that.
+    EXPECT_EQ(static_cast<std::uint64_t>(rep.completion_cycle),
+              analysis::mesh_writeback_cycles_estimate(
+                  analysis::TransposeParams{}, cell.t_p) +
+                  2)
+        << "t_p = " << cell.t_p;
     EXPECT_EQ(rep.elements, kGrid * kGrid * kElements);
   }
 }
