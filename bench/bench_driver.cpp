@@ -373,8 +373,9 @@ std::uint64_t run_driver_sweep_fft2d(std::uint64_t iters, bool journal) {
   return points;
 }
 
-// The distributed leader adds fork/exec, heartbeat supervision, and a
-// final journal merge around the same sweep. With a single worker that
+// The distributed leader adds a fork, frame shipping over the worker's
+// socketpair, heartbeat supervision, and a final journal merge around the
+// same sweep. With a single worker that
 // wrapper is pure overhead, so timing it against the in-process journaled
 // sweep isolates the cost of distribution itself.
 constexpr const char* kBenchDistBase = "bench_dist.tmp";
@@ -630,8 +631,9 @@ int main(int argc, char** argv) {
 
   // Distributed-leader overhead gate: fork/exec, heartbeat supervision,
   // and the final shard merge must stay cheap next to the sweep itself.
-  // Compared against the *journaled* in-process sweep — the worker also
-  // journals, so the difference is distribution alone. Same dual
+  // Compared against the *journaled* in-process sweep — the leader
+  // journals every record the worker ships, so the difference is
+  // distribution alone. Same dual
   // threshold shape: >10% AND >10 ms/iter, so process-spawn jitter on
   // loaded CI hosts can't flake the gate.
   {

@@ -3,6 +3,7 @@
 // models through a complete application. The paper's conclusion claims
 // "large gains in performance and energy efficiency"; this bench quantifies
 // the energy half on the same runs that produce the performance numbers.
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -70,6 +71,12 @@ int run() {
 
   checks.expect(mr.comm_energy_pj > 2.0 * pr.comm_energy_pj,
                 "mesh transport energy >2x P-sync on the same workload");
+  // The printed ratio itself, pinned: the >2x shape check above would let
+  // the mesh lose a quarter of its ORION activity (one of the two Model I
+  // deliveries uncounted) without a word. 10.81x is this run's value.
+  const double transport_ratio = mr.comm_energy_pj / pr.comm_energy_pj;
+  checks.expect(std::abs(transport_ratio / 10.81 - 1.0) < 0.03,
+                "transport energy ratio within 3% of 10.81x");
   checks.expect(mr.total_energy_pj() > pr.total_energy_pj(),
                 "P-sync wins end-to-end energy too");
   checks.expect(pr.total_ns < mr.total_ns, "and end-to-end time");

@@ -24,9 +24,11 @@ void JournalWriter::open(const std::string& path, bool keep_existing) {
   // held, or opening a journal another process owns would wipe it before
   // the lock check could refuse. The ftruncate(fd, keep) path truncates
   // (keep stays 0 when !keep_existing) once ownership is established.
+  // O_CLOEXEC: a process this one execs (a dist worker) must not carry a
+  // copy of the locked description.
   int fd = -1;
   do {
-    fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) {
     throw SimulationError("journal: cannot open '" + path +

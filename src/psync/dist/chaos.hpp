@@ -1,5 +1,5 @@
 // ChaosTransport: deterministic, seeded fault injection at frame
-// granularity for the socket transport.
+// granularity for a worker's dialed TCP link.
 //
 // The decorator sits on a worker link's *outbound* path: every frame the
 // link wants to transmit is offered to the injector, which may drop it,

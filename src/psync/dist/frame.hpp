@@ -1,4 +1,5 @@
-// Length-prefixed binary framing for the socket transport.
+// Length-prefixed binary framing: the one wire protocol between the
+// leader and its workers, on either kind of link (transport.hpp).
 //
 // Wire format, little-endian:
 //
@@ -6,8 +7,8 @@
 //
 // Payloads are the *existing* text codecs — a heartbeat frame carries
 // exactly one heartbeat.hpp wire line, a journal frame carries exactly one
-// campaign.hpp journal line — so the socket transport adds delivery, not a
-// second serialization of campaign state. Control frames (hello, acks) use
+// campaign.hpp journal line — so the wire adds delivery, not a second
+// serialization of campaign state. Control frames (hello, acks) use
 // the same space-separated text style.
 //
 // FrameDecoder is an incremental parser: feed() it whatever read(2)

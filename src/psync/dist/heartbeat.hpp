@@ -6,19 +6,18 @@
 //
 // where <kind> is p (periodic progress), s (point start), or d (point
 // done) and <inflight> is the global grid index of the point currently
-// executing, or "-" when none is. Over the pipe transport a line is
-// written with a single write(2) well under PIPE_BUF, so lines never
-// interleave even though the emitter's timer thread and the sweep thread
-// both write; over the socket transport the identical line rides as one
-// heartbeat frame's payload (transport.hpp) — same codec, new envelope.
+// executing, or "-" when none is. The line is the payload of one
+// heartbeat frame (frame.hpp) on the worker's link, whichever way that
+// link was connected (transport.hpp); the framing keeps lines from the
+// emitter's timer thread and the sweep thread from interleaving.
 //
 // Liveness is "any traffic at all": the worker-side emitter runs a timer
 // thread that sends a progress line every interval even while one point
 // computes for a long time, so a silent channel means the *process* is
 // wedged (deadlocked, stopped, or looping outside the sim), not merely
 // busy — exactly the condition the leader answers with SIGKILL + restart.
-// (Socket mode adds a second failure class the leader tells apart: a
-// *disconnected* worker is partitioned, not wedged.)
+// The leader tells a second failure class apart: a *disconnected* worker
+// is partitioned (or exiting), not wedged.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,7 @@ struct Heartbeat {
 std::string heartbeat_line(const Heartbeat& hb);
 
 /// Parse one wire line; returns false (out untouched) on anything
-/// malformed — a torn or garbled pipe read is dropped, never trusted.
+/// malformed — a garbled payload is dropped, never trusted.
 bool parse_heartbeat_line(const std::string& line, Heartbeat* out);
 
 /// Worker-side emitter: implements the driver's PointObserver so the
@@ -58,13 +57,13 @@ bool parse_heartbeat_line(const std::string& line, Heartbeat* out);
 /// keeps beating while a single point runs long.
 ///
 /// The emitter writes through a WorkerLink (transport.hpp), which owns
-/// the channel's failure story: a pipe link cancels the worker when the
-/// leader's read end is gone, a socket link reconnects on its own and
-/// only goes dead when the leader fences this worker's epoch. Either way
-/// a dead link stops the timer — no point beating into the void. The
-/// timer tick doubles as the socket link's I/O pump, so acks drain and
-/// reconnects progress even while the sweep thread computes one long
-/// point. With a null link every write is a no-op (tests).
+/// the channel's failure story: an inherited link cancels the worker
+/// when the leader is gone, a dialed link reconnects on its own and only
+/// goes dead when the leader fences this worker's epoch. Either way a
+/// dead link stops the timer — no point beating into the void. The timer
+/// tick doubles as the link's I/O pump, so acks drain and reconnects
+/// progress even while the sweep thread computes one long point. With a
+/// null link every write is a no-op (tests).
 class HeartbeatEmitter final : public driver::PointObserver {
  public:
   /// Does not own `link` (which may be nullptr: heartbeats disabled).

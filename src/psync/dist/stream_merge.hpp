@@ -3,8 +3,7 @@
 // The batch merge (merge.hpp) runs once at the end over the journal
 // files — it is the truth the final SweepResult comes from. This class is
 // its streaming twin: the supervisor offers journal records as they land
-// (off the socket, or tailed from a pipe-mode shard journal) in whatever
-// order shards produce them, and the merger emits the longest contiguous
+// off the workers' links, in whatever order shards produce them, and the merger emits the longest contiguous
 // grid-order prefix to its sink. Subscribers of a served campaign see
 // partial tables grow front-to-back while late shards still compute,
 // instead of waiting for the last one.

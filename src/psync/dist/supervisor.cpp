@@ -53,6 +53,10 @@ Clock::time_point after_ms(Clock::time_point t, double ms) {
 /// noise, not a worker).
 constexpr double kHelloGraceMs = 2000.0;
 
+/// After a link hangs up on a live pid, the leader ticks this long at
+/// 2 ms waiting to reap the exit (see poll_timeout_ms).
+constexpr double kExitReapWindowMs = 100.0;
+
 /// Best-effort frame write on a (possibly nonblocking) connection fd.
 /// Small control frames normally land in the socket buffer whole; a full
 /// buffer gets one short POLLOUT wait per chunk. Returns false on a hard
@@ -78,10 +82,11 @@ bool send_frame_fd(int fd, const Frame& frame) {
   return true;
 }
 
-/// Leader-side journal ownership for one socket-mode assignment: the
-/// writer holding the shard journal's flock, plus the per-index status
-/// map that makes retransmitted journal frames idempotent. Shared because
-/// a steal re-partition hands chunk 0 the same journal file.
+/// Leader-side journal ownership for one assignment: the writer holding
+/// the shard journal's flock, plus the per-index status map that makes
+/// retransmitted journal frames idempotent and tells the leader what is
+/// still undone. Shared because a steal re-partition hands chunk 0 the
+/// same journal file.
 struct LeaderJournal {
   JournalWriter writer;
   std::map<std::size_t, driver::PointStatus> status;
@@ -95,7 +100,7 @@ struct Assignment {
   ShardRange range;
   std::string journal;
   std::size_t launches = 0;     // processes started for this assignment
-  std::shared_ptr<LeaderJournal> led;  // socket transport only
+  std::shared_ptr<LeaderJournal> led;  // opened on the first launch
 };
 
 enum class SeatState {
@@ -111,10 +116,9 @@ struct Seat {
   SeatState state = SeatState::kIdle;
   Assignment asg;
   pid_t pid = -1;
-  int pipe_fd = -1;  // pipe transport: heartbeat read end
-  std::string rdbuf;
-  int conn_fd = -1;  // socket transport: attached worker connection
+  int conn_fd = -1;  // worker link: inherited socketpair end or TCP conn
   FrameDecoder decoder;
+  Clock::time_point hangup{};  // when conn_fd last saw EOF
   std::uint64_t epoch = 0;     // lease epoch of the current launch
   bool connected_once = false; // a handshake landed this launch
   Clock::time_point last_beat{};
@@ -188,9 +192,7 @@ class Supervisor {
       wait_for_events(now);
       reap();
       enforce_deadlines(Clock::now());
-      if (merger_ && !socket_) tail_journals();
     }
-    if (merger_ && !socket_) tail_journals();
     teardown();
     if (shutdown_) {
       throw CancelledError(
@@ -330,83 +332,86 @@ class Supervisor {
   // --- process lifecycle -----------------------------------------------
 
   void launch(Seat& seat) {
+    // The leader owns the journal: open (resume) it on the assignment's
+    // first launch and seed the dedup map from whatever a predecessor
+    // durably recorded.
+    if (!seat.asg.led) attach_leader_journal(seat.asg);
     WorkerConfig cfg;
     cfg.shard = seat.asg.shard;
     cfg.generation = seat.asg.launches;
     cfg.range = seat.asg.range;
     cfg.quarantine.assign(quarantine_.begin(), quarantine_.end());
     cfg.heartbeat_ms = opts_.heartbeat_ms;
+    // A worker has no journal to resume from, so the leader narrows its
+    // window past the durably-done prefix. Interior gaps (a steal
+    // overlap) re-run and land as agreeing duplicates.
+    while (cfg.range.begin < cfg.range.end &&
+           seat.asg.led->status.count(cfg.range.begin) != 0) {
+      ++cfg.range.begin;
+    }
+    if (cfg.range.begin >= cfg.range.end) {
+      // The previous worker recorded everything before dying — the
+      // assignment is already complete, nothing to launch.
+      seat.state = SeatState::kIdle;
+      seat.restart_backoff->reset();
+      return;
+    }
+    cfg.epoch = ledger_.issue(seat.asg.shard);
 
-    int fds[2] = {-1, -1};
+    // Connect the worker: a TCP worker dials the listener; a local one is
+    // born connected to the leader through a socketpair ([0] stays here,
+    // [1] is the child's, and only the child's across exec).
+    int link[2] = {-1, -1};
     if (socket_) {
-      // Leader-side journal ownership: open (resume) on the assignment's
-      // first launch and seed the dedup map from whatever a predecessor
-      // durably recorded.
-      if (!seat.asg.led) attach_leader_journal(seat.asg);
-      // A socket worker has no local journal to resume from, so the
-      // leader narrows its window past the durably-done prefix. Interior
-      // gaps (a steal overlap) re-run and land as agreeing duplicates.
-      while (cfg.range.begin < cfg.range.end &&
-             seat.asg.led->status.count(cfg.range.begin) != 0) {
-        ++cfg.range.begin;
-      }
-      if (cfg.range.begin >= cfg.range.end) {
-        // The previous worker recorded everything before dying — the
-        // assignment is already complete, nothing to launch.
-        seat.state = SeatState::kIdle;
-        seat.restart_backoff->reset();
-        return;
-      }
       cfg.connect_host = opts_.advertise_host.empty() ? opts_.listen_host
                                                       : opts_.advertise_host;
       cfg.connect_port = listen_port_;
-      cfg.epoch = ledger_.issue(seat.asg.shard);
     } else {
-      cfg.journal_path = seat.asg.journal;
-      if (::pipe(fds) != 0) {
-        throw SimulationError("distributed sweep: pipe(2) failed: " +
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, link) != 0) {
+        ledger_.revoke(cfg.epoch);
+        throw SimulationError("distributed sweep: socketpair(2) failed: " +
                               std::string(std::strerror(errno)));
       }
-      cfg.heartbeat_fd = fds[1];
+      cfg.link_fd = link[1];
     }
     if (hook_) hook_(cfg);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
       const std::string err = std::strerror(errno);
-      if (fds[0] >= 0) ::close(fds[0]);
-      if (fds[1] >= 0) ::close(fds[1]);
-      if (socket_) ledger_.revoke(cfg.epoch);
+      if (link[0] >= 0) ::close(link[0]);
+      if (link[1] >= 0) ::close(link[1]);
+      ledger_.revoke(cfg.epoch);
       throw SimulationError("distributed sweep: fork(2) failed: " + err);
     }
     if (pid == 0) {
-      // Child: drop every leader-side fd — the listener, attached and
-      // pending connections, and other seats' pipe read ends (an
-      // inherited read end would keep a pipe from ever reporting EOF).
-      if (fds[0] >= 0) ::close(fds[0]);
+      // Child: drop every leader-side fd — the listener, pending
+      // connections, and every seat's link (an inherited copy of another
+      // worker's link would keep it from ever reporting EOF).
+      if (link[0] >= 0) ::close(link[0]);
+      if (link[1] >= 0) ::fcntl(link[1], F_SETFD, 0);  // survive exec
       if (listen_fd_ >= 0) ::close(listen_fd_);
       for (const auto& pc : pending_) {
         if (pc.fd >= 0) ::close(pc.fd);
       }
       for (const auto& other : seats_) {
-        if (other.pipe_fd >= 0) ::close(other.pipe_fd);
         if (other.conn_fd >= 0) ::close(other.conn_fd);
       }
       const int rc = body_ ? body_(worker_spec_, cfg)
                            : run_worker(worker_spec_, cfg);
       ::_exit(rc);
     }
-    if (!socket_) {
-      ::close(fds[1]);
-      const int fl = ::fcntl(fds[0], F_GETFL);
-      ::fcntl(fds[0], F_SETFL, fl | O_NONBLOCK);
+    seat.conn_fd = -1;  // a TCP worker attaches on HELLO
+    if (link[1] >= 0) {
+      ::close(link[1]);
+      const int fl = ::fcntl(link[0], F_GETFL);
+      ::fcntl(link[0], F_SETFL, fl | O_NONBLOCK);
+      seat.conn_fd = link[0];
     }
 
     seat.pid = pid;
-    seat.pipe_fd = fds[0];
-    seat.rdbuf.clear();
-    seat.conn_fd = -1;
     seat.decoder.reset();
+    seat.hangup = {};
     seat.epoch = cfg.epoch;
     seat.connected_once = false;
     seat.state = SeatState::kRunning;
@@ -419,9 +424,9 @@ class Supervisor {
     ++seat.asg.launches;
   }
 
-  /// Open the leader's writer on a socket-mode assignment's journal and
-  /// replay its existing records into the dedup map (and the streaming
-  /// merger — a resumed file is history subscribers have not seen).
+  /// Open the leader's writer on an assignment's journal and replay its
+  /// existing records into the dedup map (and the streaming merger — a
+  /// resumed file is history subscribers have not seen).
   void attach_leader_journal(Assignment& asg) {
     asg.led = std::make_shared<LeaderJournal>();
     for (const auto& line : read_journal_lines(asg.journal)) {
@@ -436,7 +441,7 @@ class Supervisor {
   }
 
   void wait_for_events(Clock::time_point now) {
-    enum class Ref { kListen, kPending, kConn, kPipe };
+    enum class Ref { kListen, kPending, kConn };
     std::vector<pollfd> fds;
     std::vector<std::pair<Ref, std::size_t>> owner;
     if (listen_fd_ >= 0) {
@@ -448,10 +453,6 @@ class Supervisor {
       owner.emplace_back(Ref::kPending, p);
     }
     for (std::size_t s = 0; s < seats_.size(); ++s) {
-      if (seats_[s].pipe_fd >= 0) {
-        fds.push_back({seats_[s].pipe_fd, POLLIN, 0});
-        owner.emplace_back(Ref::kPipe, s);
-      }
       if (seats_[s].conn_fd >= 0) {
         fds.push_back({seats_[s].conn_fd, POLLIN, 0});
         owner.emplace_back(Ref::kConn, s);
@@ -477,9 +478,6 @@ class Supervisor {
           if (seats_[owner[i].second].conn_fd == fds[i].fd) {
             drain_socket(seats_[owner[i].second]);
           }
-          break;
-        case Ref::kPipe:
-          drain_pipe(seats_[owner[i].second]);
           break;
       }
     }
@@ -589,19 +587,20 @@ class Supervisor {
   /// capped so child exits (reaped with WNOHANG) are noticed promptly
   /// even when no deadline is near.
   int poll_timeout_ms(Clock::time_point now) const {
-    double next = socket_ ? 50.0 : 250.0;
+    double next = 50.0;
     const double liveness = liveness_ms();
     for (const auto& pc : pending_) {
       next = std::min(next, ms_between(now, pc.deadline));
     }
     for (const auto& seat : seats_) {
-      if (!socket_ && seat.pid > 0 && seat.pipe_fd < 0) {
-        // Heartbeat EOF seen but the exit not yet reaped: the process is
-        // mid-_exit — fds close before the zombie becomes waitable — so
-        // there is nothing to poll. Tick fast until waitpid catches it
-        // instead of sleeping out a full deadline (a worker that closed
-        // its pipe but lives on stops beating and hits the liveness kill,
-        // so this fast path is bounded).
+      if (seat.pid > 0 && seat.conn_fd < 0 &&
+          ms_between(seat.hangup, now) < kExitReapWindowMs) {
+        // The link just hung up and the exit is not reaped yet: the
+        // process is most likely mid-_exit — fds close before the zombie
+        // becomes waitable — so there is nothing to poll. Tick fast until
+        // waitpid catches it instead of sleeping out the cap. The window
+        // bounds this for a TCP worker that lost its connection but
+        // lives on (the liveness deadline handles that one).
         return 2;
       }
       switch (seat.state) {
@@ -621,43 +620,12 @@ class Supervisor {
           break;
       }
     }
-    return std::max(socket_ ? 5 : 10, static_cast<int>(std::ceil(next)));
+    return std::max(5, static_cast<int>(std::ceil(next)));
   }
 
   double liveness_ms() const {
     if (opts_.heartbeat_ms <= 0.0) return 0.0;  // liveness disabled
     return opts_.heartbeat_ms * opts_.liveness_factor;
-  }
-
-  void drain_pipe(Seat& seat) {
-    char buf[4096];
-    bool got_bytes = false;
-    for (;;) {
-      const ssize_t n = ::read(seat.pipe_fd, buf, sizeof(buf));
-      if (n > 0) {
-        got_bytes = true;
-        seat.rdbuf.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF (or a read error): the write end is gone. The exit itself is
-      // observed via waitpid; here we only retire the fd.
-      ::close(seat.pipe_fd);
-      seat.pipe_fd = -1;
-      break;
-    }
-    // Any traffic at all proves the process is scheduling — that is the
-    // liveness signal. Parsed lines additionally update progress state.
-    if (got_bytes) seat.last_beat = Clock::now();
-    std::size_t nl = 0;
-    while ((nl = seat.rdbuf.find('\n')) != std::string::npos) {
-      const std::string line = seat.rdbuf.substr(0, nl);
-      seat.rdbuf.erase(0, nl + 1);
-      Heartbeat hb;
-      if (!parse_heartbeat_line(line, &hb)) continue;  // torn/garbled: drop
-      apply_heartbeat(seat, hb);
-    }
   }
 
   void drain_socket(Seat& seat) {
@@ -672,11 +640,12 @@ class Supervisor {
       }
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or error: the connection dropped. Unlike a pipe EOF this is
-      // not evidence of death — the worker may be mid-reconnect behind a
-      // partition. Liveness (kConnectionLost) decides later.
+      // EOF or error: the link hung up. Usually the worker is exiting,
+      // which reap() observes; a TCP worker may instead be mid-reconnect
+      // behind a partition, which liveness (kConnectionLost) decides.
       ::close(seat.conn_fd);
       seat.conn_fd = -1;
+      seat.hangup = Clock::now();
       break;
     }
     if (got_bytes) seat.last_beat = Clock::now();
@@ -690,10 +659,12 @@ class Supervisor {
       if (r == FrameDecoder::Result::kNeedMore) break;
       if (r == FrameDecoder::Result::kCorrupt) {
         // Framing desync is unrecoverable on a byte stream: drop the
-        // connection, the worker reconnects and the codec starts clean.
+        // link. A TCP worker reconnects and the codec starts clean; an
+        // inherited link's worker sees EOF and winds down.
         if (seat.conn_fd >= 0) {
           ::close(seat.conn_fd);
           seat.conn_fd = -1;
+          seat.hangup = Clock::now();
         }
         seat.decoder.reset();
         break;
@@ -766,39 +737,6 @@ class Supervisor {
     }
   }
 
-  /// Pipe-mode streaming: tail every shard journal file for complete new
-  /// lines and feed them to the merger. Only runs when a streaming sink
-  /// is configured, so the plain pipe path pays nothing.
-  void tail_journals() {
-    for (const auto& path : journal_paths_) {
-      auto& tail = tails_[path];
-      const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) continue;  // not created yet
-      if (tail.offset > 0) {
-        ::lseek(fd, static_cast<off_t>(tail.offset), SEEK_SET);
-      }
-      char buf[8192];
-      ssize_t n = 0;
-      while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-        tail.buf.append(buf, static_cast<std::size_t>(n));
-        tail.offset += static_cast<std::size_t>(n);
-      }
-      ::close(fd);
-      std::size_t nl = 0;
-      while ((nl = tail.buf.find('\n')) != std::string::npos) {
-        const std::string line = tail.buf.substr(0, nl);
-        tail.buf.erase(0, nl + 1);
-        driver::JournalEntry entry;
-        if (!driver::parse_journal_line(line, &entry)) continue;
-        if (entry.rec.index >= points_.size() ||
-            entry.seed != points_[entry.rec.index].seed) {
-          continue;  // the batch merge raises the typed error
-        }
-        merger_->offer(entry.rec);
-      }
-    }
-  }
-
   void reap() {
     // Wait on our own pids only: a host process (test binary, CLI) may have
     // children of its own, and waitpid(-1) would swallow their statuses.
@@ -844,13 +782,15 @@ class Supervisor {
         }
         continue;
       }
-      if (socket_ && seat.conn_fd < 0) {
+      if (seat.conn_fd < 0) {
         // Silent *and* disconnected: the worker is on the far side of a
         // partition (or its host died). Two reasons not to SIGKILL the
         // pid: it may be a launch wrapper whose real worker is remote,
         // and killing is not needed for safety — revoking the epoch is.
         // The shard relaunches; if the original ever reconnects it is
-        // fenced and stands down by itself.
+        // fenced and stands down by itself. (A local worker whose
+        // inherited link hung up is already winding down; teardown ends
+        // it if it has not.)
         record_incident(
             driver::FailureKind::kConnectionLost,
             "shard " + std::to_string(seat.asg.shard) + " worker (pid " +
@@ -894,13 +834,6 @@ class Supervisor {
   }
 
   void handle_exit(Seat& seat, int wstatus) {
-    if (seat.pipe_fd >= 0) {
-      drain_pipe(seat);  // salvage the final heartbeats
-      if (seat.pipe_fd >= 0) {
-        ::close(seat.pipe_fd);
-        seat.pipe_fd = -1;
-      }
-    }
     if (seat.conn_fd >= 0) {
       drain_socket(seat);  // salvage frames still in the socket buffer
       if (seat.conn_fd >= 0) {
@@ -1018,21 +951,13 @@ class Supervisor {
   }
 
   /// Grid indices in the assignment's window with no journaled record,
-  /// ascending. Unparseable lines are skipped here (their points read as
-  /// undone and re-run); the final merge still applies the strict typed
-  /// checks to every line.
+  /// ascending. Unparseable journal lines never entered the status map,
+  /// so their points read as undone and re-run; the final merge still
+  /// applies the strict typed checks to every line.
   std::vector<std::size_t> undone_in(const Assignment& asg) const {
-    std::vector<char> done(asg.range.size(), 0);
-    for (const auto& line : read_journal_lines(asg.journal)) {
-      driver::JournalEntry entry;
-      if (!driver::parse_journal_line(line, &entry)) continue;
-      if (asg.range.contains(entry.rec.index)) {
-        done[entry.rec.index - asg.range.begin] = 1;
-      }
-    }
     std::vector<std::size_t> undone;
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      if (done[i] == 0) undone.push_back(asg.range.begin + i);
+    for (std::size_t i = asg.range.begin; i < asg.range.end; ++i) {
+      if (asg.led->status.count(i) == 0) undone.push_back(i);
     }
     return undone;
   }
@@ -1132,8 +1057,8 @@ class Supervisor {
   bool gave_up_ = false;
   bool shutdown_ = false;
 
-  // --- socket transport state ------------------------------------------
-  bool socket_ = false;
+  // --- worker links ----------------------------------------------------
+  bool socket_ = false;  // TCP listener instead of inherited socketpairs
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   EpochLedger ledger_;
@@ -1145,11 +1070,6 @@ class Supervisor {
 
   // --- streaming merge -------------------------------------------------
   std::optional<StreamingMerger> merger_;
-  struct TailState {
-    std::size_t offset = 0;
-    std::string buf;
-  };
-  std::map<std::string, TailState> tails_;  // pipe-mode journal tailing
 };
 
 }  // namespace

@@ -4,12 +4,16 @@
 // Supervision model, in one paragraph: the grid is cut into contiguous
 // ranges (shard.hpp), each range is an *assignment* with its own
 // checkpoint journal, and `workers` process seats execute assignments.
-// Every worker heartbeats over its transport (heartbeat.hpp over an
-// inherited pipe, or framed over TCP — transport.hpp); silence longer
-// than the liveness timeout means the process is wedged and it is
-// SIGKILLed. A dead or wedged worker's assignment is relaunched in place
-// with decorrelated-jitter backoff, resuming its journal, so only the
-// points that were never durably recorded re-run. A point that kills its
+// Every worker talks to the leader over one frame protocol on its link
+// (transport.hpp): heartbeats (heartbeat.hpp) and each completed point's
+// journal record flow up, the leader appends the record to the shard
+// journal (fsync before ack — journal remains truth) and acks it. The
+// leader is the only journal writer. Silence longer than the liveness
+// timeout means the process is wedged and it is SIGKILLed. A dead or
+// wedged worker's assignment is relaunched in place with
+// decorrelated-jitter backoff, its window narrowed past what the journal
+// already holds, so only the points that were never durably recorded
+// re-run. A point that kills its
 // worker K launches in a row is quarantined — recorded as
 // kQuarantined/worker_crash — instead of being allowed to crash-loop the
 // sweep. When a seat runs out of work it steals: the straggler with the
@@ -19,19 +23,20 @@
 // the run produced — including those left by SIGKILLed workers — is merged
 // (merge.hpp) into one grid-order SweepResult.
 //
-// The socket transport (TransportKind::kSocket) moves the journal to the
-// leader's side of the wire: workers stream each completed point's
-// journal line over TCP, the leader appends it to the local per-shard
-// journal (fsync before ack — journal remains truth), dedups
-// retransmissions by grid index, and *fences* zombie workers by lease
-// epoch: every launch gets a fresh epoch, the epoch is revoked when the
-// leader moves on (relaunch after connection loss, steal reclaim, exit),
-// and a worker reconnecting with a revoked epoch is refused before it can
-// write a single record. Connection loss is its own failure class
-// (kConnectionLost): a disconnected worker that stays silent past the
-// liveness window is presumed partitioned — it is *not* killed (the
-// process may be unreachable, not dead); its shard is relaunched and the
-// fence keeps the survivor out.
+// Only connection setup depends on the transport. kPipe forks each
+// worker onto an inherited socketpair: connected from birth, no
+// handshake, and its hang-up means the process is exiting. kSocket
+// listens on TCP and workers dial back, which lets them run on other
+// hosts and reconnect; the leader dedups retransmissions by grid index
+// and *fences* zombie workers by lease epoch: every launch gets a fresh
+// epoch, the epoch is revoked when the leader moves on (relaunch after
+// connection loss, steal reclaim, exit), and a worker reconnecting with a
+// revoked epoch is refused before it can write a single record.
+// Connection loss is its own failure class (kConnectionLost): a
+// disconnected worker that stays silent past the liveness window is
+// presumed partitioned — it is *not* killed (the process may be
+// unreachable, not dead); its shard is relaunched and the fence keeps the
+// survivor out.
 //
 // Determinism: per-point seeds come from the global grid index and merged
 // records are journal round-trips, so the rendered JSON/CSV is
@@ -58,12 +63,11 @@ struct SupervisorOptions {
   /// Worker process seats (and initial shard count). 0 is treated as 1.
   std::size_t workers = 2;
 
-  /// Channel the leader drives its workers over. kPipe is PR 6 unchanged
-  /// (inherited heartbeat pipe, workers journal to the shared
-  /// filesystem); kSocket listens on TCP, workers dial back, and journal
-  /// records ship to the leader (transport.hpp).
+  /// How workers connect (transport.hpp); both speak the same frames.
+  /// kPipe forks them onto inherited socketpairs; kSocket listens on TCP
+  /// and they dial back (remote-capable, reconnect + epoch fencing).
   TransportKind transport = TransportKind::kPipe;
-  /// Socket transport: where the leader listens (port 0 = ephemeral) and
+  /// kSocket: where the leader listens (port 0 = ephemeral) and
   /// the host workers are told to dial. advertise_host defaults to
   /// listen_host — set it when workers run on other machines and must
   /// dial a routable address rather than the bind address.
@@ -73,11 +77,10 @@ struct SupervisorOptions {
 
   /// Streaming merge sink: called with (index, record) in strictly
   /// ascending grid order as completed points become contiguous
-  /// (stream_merge.hpp), while later shards still compute. Socket mode
-  /// feeds it straight off the journal frames; pipe mode tails the shard
-  /// journal files (only when the sink is set, so the plain pipe path
-  /// stays zero-overhead). The final SweepResult still comes from the
-  /// end-of-run journal merge — this is a live view, not a second truth.
+  /// (stream_merge.hpp), while later shards still compute, fed straight
+  /// off the journal frames as the leader appends them. The final
+  /// SweepResult still comes from the end-of-run journal merge — this is
+  /// a live view, not a second truth.
   std::function<void(std::size_t, const driver::RunRecord&)> on_record;
 
   /// Worker heartbeat interval; liveness timeout is
@@ -131,9 +134,9 @@ struct SupervisorOptions {
 
 /// Runs in the forked child, never returns control flow to the leader:
 /// either executes the shard in-process (default: run_worker) or execs a
-/// fresh binary (psync_sim's `--worker-shard` / `--connect` modes, or a
-/// launch template that ships the worker to another host). Its return
-/// value becomes the child's exit code.
+/// fresh binary (psync_sim's `--worker-shard` mode with `--link-fd` or
+/// `--connect`, or a launch template that ships the worker to another
+/// host). Its return value becomes the child's exit code.
 using WorkerBody =
     std::function<int(const driver::ExperimentSpec&, const WorkerConfig&)>;
 

@@ -17,47 +17,28 @@
 
 namespace psync::dist {
 
-// --- PipeWorkerLink ----------------------------------------------------
+// --- WorkerLink --------------------------------------------------------
 
-PipeWorkerLink::PipeWorkerLink(int fd, CancelToken* on_dead)
-    : fd_(fd), on_dead_(on_dead) {}
-
-bool PipeWorkerLink::send_heartbeat(const Heartbeat& hb) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return true;  // heartbeats disabled: never "dead"
-  if (broken_) return false;
-  std::string line = heartbeat_line(hb);
-  line.push_back('\n');
-  // One write(2) per line, far below PIPE_BUF: atomic against the other
-  // writer thread. EPIPE means the leader is gone — stop beating and ask
-  // the worker to wind down (SIGPIPE is ignored in worker processes).
-  ssize_t n = -1;
-  do {
-    n = ::write(fd_, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) {
-    broken_ = true;
-    if (on_dead_ != nullptr) on_dead_->cancel();
-    return false;
-  }
-  return true;
-}
-
-// --- SocketWorkerLink --------------------------------------------------
-
-SocketWorkerLink::SocketWorkerLink(const SocketLinkOptions& opts,
-                                   CancelToken* on_fenced)
+WorkerLink::WorkerLink(const WorkerLinkOptions& opts, CancelToken* on_dead)
     : opts_(opts),
-      on_fenced_(on_fenced),
+      on_dead_(on_dead),
+      inherited_(opts.fd >= 0),
       chaos_(opts.chaos),
       backoff_(opts.reconnect_base_ms, opts.reconnect_cap_ms,
                opts.reconnect_seed),
       t0_(std::chrono::steady_clock::now()) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (inherited_) {
+    // Connected from birth: the leader holds the socketpair's other end.
+    const int fl = ::fcntl(opts_.fd, F_GETFL);
+    ::fcntl(opts_.fd, F_SETFL, fl | O_NONBLOCK);
+    fd_ = opts_.fd;
+    return;
+  }
   (void)ensure_connected_locked(now_ms());
 }
 
-SocketWorkerLink::~SocketWorkerLink() {
+WorkerLink::~WorkerLink() {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) {
     ::close(fd_);
@@ -65,84 +46,80 @@ SocketWorkerLink::~SocketWorkerLink() {
   }
 }
 
-double SocketWorkerLink::now_ms() const {
+double WorkerLink::now_ms() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0_)
       .count();
 }
 
-bool SocketWorkerLink::send_heartbeat(const Heartbeat& hb) {
+bool WorkerLink::send_heartbeat(const Heartbeat& hb) {
   std::lock_guard<std::mutex> lock(mu_);
   const double now = now_ms();
   pump_locked(now);
-  if (fenced_) return false;
+  if (dead_) return false;
   if (fd_ >= 0) {
     transmit_locked({FrameKind::kHeartbeat, heartbeat_line(hb)}, now);
   }
-  // Disconnected is not dead: the reconnect loop keeps trying, and a
-  // missed heartbeat during an outage is exactly what the leader's
-  // connection-loss taxonomy is for.
-  return !fenced_;
+  // A dialed link disconnected is not dead: the reconnect loop keeps
+  // trying, and a missed heartbeat during an outage is exactly what the
+  // leader's connection-loss taxonomy is for.
+  return !dead_;
 }
 
-void SocketWorkerLink::send_journal(std::size_t index,
-                                    const std::string& line) {
+void WorkerLink::send_journal(std::size_t index, const std::string& line) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fenced_) return;
-  const double now = now_ms();
+  if (dead_) return;
   unacked_[index] = Pending{line, -1.0};
-  pump_locked(now);
-  if (fd_ >= 0) {
-    transmit_locked({FrameKind::kJournal, journal_payload(index, line)}, now);
-    const auto it = unacked_.find(index);
-    if (it != unacked_.end()) it->second.last_sent_ms = now;
-  }
+  pump_locked(now_ms());  // a never-sent record goes out right away
 }
 
-bool SocketWorkerLink::fenced() const {
+bool WorkerLink::dead() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dead_;
+}
+
+bool WorkerLink::fenced() const {
   std::lock_guard<std::mutex> lock(mu_);
   return fenced_;
 }
 
-std::size_t SocketWorkerLink::unacked() const {
+std::size_t WorkerLink::unacked() const {
   std::lock_guard<std::mutex> lock(mu_);
   return unacked_.size();
 }
 
-bool SocketWorkerLink::connected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0;
-}
-
-std::size_t SocketWorkerLink::reconnects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reconnects_;
-}
-
-bool SocketWorkerLink::flush(double timeout_ms) {
+bool WorkerLink::flush(double timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                             std::chrono::duration<double, std::milli>(timeout_ms));
   for (;;) {
+    int fd = -1;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (fenced_) return false;
+      if (dead_) return false;
       if (unacked_.empty()) return true;
       pump_locked(now_ms());
       if (unacked_.empty()) return true;
+      fd = fd_;
     }
     if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (fd >= 0) {
+      // Wake as soon as an ack arrives. Outside the lock the fd may be
+      // closed and reused by the other thread; the poll then merely waits.
+      pollfd pfd{fd, POLLIN, 0};
+      (void)::poll(&pfd, 1, 5);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
   std::lock_guard<std::mutex> lock(mu_);
   return unacked_.empty();
 }
 
-void SocketWorkerLink::pump_locked(double now) {
-  if (fenced_) return;
+void WorkerLink::pump_locked(double now) {
   if (!ensure_connected_locked(now)) return;
   drain_locked(now);
-  if (fd_ < 0 || fenced_) return;
+  if (fd_ < 0) return;
   // Retransmit shipped-but-unacked records (a dropped frame, or a
   // reconnect that raced the ack). The leader dedups by index, so an ack
   // that was merely delayed costs one agreeing duplicate, nothing more.
@@ -163,9 +140,9 @@ void SocketWorkerLink::pump_locked(double now) {
   }
 }
 
-bool SocketWorkerLink::ensure_connected_locked(double now) {
+bool WorkerLink::ensure_connected_locked(double now) {
   if (fd_ >= 0) return true;
-  if (fenced_) return false;
+  if (dead_) return false;
   if (chaos_.partitioned(now)) return false;  // the net is "down"
   if (now < next_connect_ms_) return false;
   const int fd = tcp_connect(opts_.host, opts_.port);
@@ -235,15 +212,14 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
   if (hello_ack_fenced(ack.payload)) {
     ::close(fd);
     decoder_.reset();
-    fence_locked();
+    fenced_ = true;
+    die_locked();
     return false;
   }
   // Accepted. Nonblocking from here on; the pump drains acks.
   const int fl = ::fcntl(fd, F_GETFL);
   ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
   fd_ = fd;
-  if (connected_once_) ++reconnects_;
-  connected_once_ = true;
   backoff_.reset();
   next_connect_ms_ = 0.0;
   // Everything unacked goes again right away — the previous connection
@@ -257,7 +233,7 @@ bool SocketWorkerLink::ensure_connected_locked(double now) {
   return fd_ >= 0;
 }
 
-void SocketWorkerLink::drain_locked(double now) {
+void WorkerLink::drain_locked(double now) {
   if (fd_ < 0) return;
   char buf[4096];
   for (;;) {
@@ -290,8 +266,9 @@ void SocketWorkerLink::drain_locked(double now) {
       case FrameKind::kHelloAck:
         // A late fence: the leader decided mid-stream this epoch is done.
         if (hello_ack_fenced(frame.payload)) {
+          fenced_ = true;
           disconnect_locked(now);
-          fence_locked();
+          die_locked();
           return;
         }
         break;
@@ -301,7 +278,7 @@ void SocketWorkerLink::drain_locked(double now) {
   }
 }
 
-void SocketWorkerLink::transmit_locked(const Frame& frame, double now) {
+void WorkerLink::transmit_locked(const Frame& frame, double now) {
   for (const Frame& out : chaos_.offer(frame, now)) {
     if (fd_ < 0) break;
     raw_send_locked(encode_frame(out), now);
@@ -311,7 +288,7 @@ void SocketWorkerLink::transmit_locked(const Frame& frame, double now) {
   }
 }
 
-void SocketWorkerLink::raw_send_locked(const std::string& wire, double now) {
+void WorkerLink::raw_send_locked(const std::string& wire, double now) {
   std::size_t off = 0;
   while (off < wire.size()) {
     const ssize_t n =
@@ -332,18 +309,20 @@ void SocketWorkerLink::raw_send_locked(const std::string& wire, double now) {
   }
 }
 
-void SocketWorkerLink::disconnect_locked(double now) {
+void WorkerLink::disconnect_locked(double now) {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
   decoder_.reset();
+  // An inherited link has no way back: its peer was the leader itself.
+  if (inherited_) die_locked();
   next_connect_ms_ = now + backoff_.next_ms();
 }
 
-void SocketWorkerLink::fence_locked() {
-  fenced_ = true;
-  if (on_fenced_ != nullptr) on_fenced_->cancel();
+void WorkerLink::die_locked() {
+  dead_ = true;
+  if (on_dead_ != nullptr) on_dead_->cancel();
 }
 
 // --- EpochLedger -------------------------------------------------------

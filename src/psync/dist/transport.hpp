@@ -1,37 +1,38 @@
-// The pluggable leader<->worker transport.
+// The leader<->worker wire: one frame protocol, two ways to connect.
 //
-// PR 6's supervisor spoke to workers over one inherited pipe per seat:
-// heartbeat lines flowed up, and the journal never traveled at all — the
-// worker wrote it to a shared filesystem. That is exactly right on one
-// host and exactly wrong across a network. This layer splits the channel
-// behind a small interface:
+// Every worker speaks length-prefixed frames (frame.hpp) to its leader:
+// heartbeat lines flow up as heartbeat frames, and each completed point's
+// journal record is shipped as a journal frame that the leader appends to
+// the per-shard journal (fsync before the ack). The leader is the only
+// journal writer — journal-remains-truth, and the merge stays
+// crash-identical. Only connection setup differs:
 //
-//   WorkerLink        what a worker writes to (heartbeats + journal)
-//   PipeWorkerLink    today's behavior, byte-compatible: heartbeat text
-//                     lines on the inherited fd, journal written locally
-//   SocketWorkerLink  TCP to the leader: length-prefixed frames
-//                     (frame.hpp) carrying the same heartbeat lines plus
-//                     a journal-shipping stream — each completed point's
-//                     journal record goes to the leader, which appends it
-//                     to the local per-shard journal. Journal-remains-
-//                     truth, and the PR 6 merge stays crash-identical.
+//   inherited  TransportKind::kPipe. The leader makes a socketpair per
+//              launch; the worker is born connected to it (fork inherits
+//              the fd, an exec'd psync_sim gets it as --link-fd N). No
+//              handshake, no reconnect: the peer going away means the
+//              leader is gone, so EOF or a send error is fatal and
+//              cancels the worker.
+//   dialed     TransportKind::kSocket. The worker dials the leader's TCP
+//              listener and opens with a HELLO claiming (shard, epoch).
 //
-// Socket-mode robustness lives here, worker-side:
+// Dialed-link robustness lives here, worker-side:
 //
 //   * Reconnect with decorrelated-jitter backoff (backoff.hpp). A broken
 //     connection is not a death sentence — the worker keeps computing and
 //     keeps trying; completed records queue as unacked.
-//   * At-least-once journal shipping: every record is retransmitted until
-//     the leader acks it (on reconnect, and periodically against drops).
-//     The leader dedups by index, so retransmission is idempotent.
-//   * Lease-epoch fencing: every connection opens with a HELLO claiming
-//     (shard, epoch). The leader issued that epoch for exactly one launch
-//     and revokes it when it gives the shard away; a zombie worker
-//     reconnecting after its partition healed is answered "fenced", its
-//     link goes permanently dead, and it can never double-write a shard
-//     someone else now owns.
+//   * At-least-once journal shipping (both link kinds): every record is
+//     retransmitted until the leader acks it (on reconnect, and
+//     periodically against drops). The leader dedups by index, so
+//     retransmission is idempotent.
+//   * Lease-epoch fencing: the leader issued the HELLO's epoch for exactly
+//     one launch and revokes it when it gives the shard away; a zombie
+//     worker reconnecting after its partition healed is answered
+//     "fenced", its link goes permanently dead, and it can never
+//     double-write a shard someone else now owns.
 //   * ChaosTransport (chaos.hpp) decorates the outbound frame path for
-//     deterministic fault injection in tests and the net-chaos smoke.
+//     deterministic fault injection in tests and the net-chaos smoke. On
+//     an inherited link a chaos partition ends the link for good.
 //
 // Leader-side state (who owns which epoch) is EpochLedger, kept here so
 // the fencing decision is a pure, unit-testable object instead of
@@ -53,59 +54,16 @@
 
 namespace psync::dist {
 
-/// Which channel a supervisor drives its workers over.
+/// How a supervisor connects its workers. Both speak the same frames.
 enum class TransportKind {
-  kPipe,    // inherited pipe, local journals (PR 6, byte-compatible)
-  kSocket,  // TCP frames, journal shipped to the leader
+  kPipe,    // forked workers on an inherited socketpair
+  kSocket,  // TCP listener: workers dial back (remote-capable)
 };
 
-/// What a worker process writes to. Implementations are thread-safe: the
-/// heartbeat timer thread and the sweep thread both call in.
-class WorkerLink {
- public:
-  virtual ~WorkerLink() = default;
-  /// Emit one heartbeat. Returns false once the link is permanently dead
-  /// (pipe: the leader's read end is gone; socket: this epoch was fenced)
-  /// — the worker should wind down.
-  virtual bool send_heartbeat(const Heartbeat& hb) = 0;
-  /// Ship one completed point's journal line (socket), or no-op (pipe:
-  /// the worker journals to the local filesystem itself).
-  virtual void send_journal(std::size_t index, const std::string& line) = 0;
-  /// Permanently dead because the leader refused this worker's epoch.
-  [[nodiscard]] virtual bool fenced() const { return false; }
-  /// Journal records shipped but not yet acked durable by the leader.
-  [[nodiscard]] virtual std::size_t unacked() const { return 0; }
-  /// Block until every queued journal record is acked or `timeout_ms`
-  /// passes (pumping I/O while waiting). True when the queue drained.
-  virtual bool flush(double timeout_ms) {
-    (void)timeout_ms;
-    return true;
-  }
-};
-
-/// PR 6's channel, unchanged on the wire: heartbeat text lines over the
-/// inherited pipe fd, one write(2) per line. A failed write (the leader
-/// died) cancels `on_dead` so the worker stops computing for nobody.
-class PipeWorkerLink final : public WorkerLink {
- public:
-  /// Does not own `fd`; fd < 0 makes every send a no-op (single-process
-  /// use, tests). `on_dead` may be nullptr.
-  PipeWorkerLink(int fd, CancelToken* on_dead);
-
-  bool send_heartbeat(const Heartbeat& hb) override;
-  void send_journal(std::size_t index, const std::string& line) override {
-    (void)index;
-    (void)line;  // journal-by-filesystem: the worker's JournalWriter owns it
-  }
-
- private:
-  const int fd_;
-  CancelToken* const on_dead_;
-  std::mutex mu_;
-  bool broken_ = false;
-};
-
-struct SocketLinkOptions {
+struct WorkerLinkOptions {
+  /// Inherited, already-connected stream socket (>= 0), which the link
+  /// then owns; otherwise the link dials host:port.
+  int fd = -1;
   std::string host;
   std::uint16_t port = 0;
   std::size_t shard = 0;
@@ -123,26 +81,32 @@ struct SocketLinkOptions {
   ChaosOptions chaos;
 };
 
-class SocketWorkerLink final : public WorkerLink {
+/// What a worker process writes to. Thread-safe: the heartbeat timer
+/// thread and the sweep thread both call in.
+class WorkerLink {
  public:
-  /// Attempts the first connection immediately (failures just schedule a
-  /// retry). `on_fenced` (may be nullptr) is cancelled when the leader
-  /// refuses this epoch — the worker must stop, its shard belongs to
-  /// someone else now.
-  SocketWorkerLink(const SocketLinkOptions& opts, CancelToken* on_fenced);
-  ~SocketWorkerLink() override;
+  /// A dialed link attempts its first connection immediately (failures
+  /// just schedule a retry). `on_dead` (may be nullptr) is cancelled when
+  /// the link goes permanently dead — the leader refused this epoch, or
+  /// an inherited link lost its peer — and the worker must stop.
+  WorkerLink(const WorkerLinkOptions& opts, CancelToken* on_dead);
+  ~WorkerLink();
+  WorkerLink(const WorkerLink&) = delete;
+  WorkerLink& operator=(const WorkerLink&) = delete;
 
-  bool send_heartbeat(const Heartbeat& hb) override;
-  void send_journal(std::size_t index, const std::string& line) override;
-  [[nodiscard]] bool fenced() const override;
-  [[nodiscard]] std::size_t unacked() const override;
-  bool flush(double timeout_ms) override;
-
-  [[nodiscard]] bool connected() const;
-  /// Successful handshakes beyond the first (for tests and stderr).
-  [[nodiscard]] std::size_t reconnects() const;
-  /// Injection accounting of the decorating ChaosTransport.
-  [[nodiscard]] const ChaosTransport& chaos() const { return chaos_; }
+  /// Emit one heartbeat. Returns false once the link is dead().
+  bool send_heartbeat(const Heartbeat& hb);
+  /// Queue one completed point's journal line until the leader acks it.
+  void send_journal(std::size_t index, const std::string& line);
+  /// Permanently dead: fenced, or an inherited link whose leader is gone.
+  [[nodiscard]] bool dead() const;
+  /// Dead because the leader refused this worker's epoch.
+  [[nodiscard]] bool fenced() const;
+  /// Journal records shipped but not yet acked durable by the leader.
+  [[nodiscard]] std::size_t unacked() const;
+  /// Block until every queued journal record is acked or `timeout_ms`
+  /// passes (pumping I/O while waiting). True when the queue drained.
+  bool flush(double timeout_ms);
 
  private:
   double now_ms() const;
@@ -155,10 +119,11 @@ class SocketWorkerLink final : public WorkerLink {
   void transmit_locked(const Frame& frame, double now);
   void raw_send_locked(const std::string& wire, double now);
   void disconnect_locked(double now);
-  void fence_locked();
+  void die_locked();
 
-  SocketLinkOptions opts_;
-  CancelToken* const on_fenced_;
+  WorkerLinkOptions opts_;
+  CancelToken* const on_dead_;
+  const bool inherited_;
   mutable std::mutex mu_;
   int fd_ = -1;
   FrameDecoder decoder_;
@@ -166,9 +131,8 @@ class SocketWorkerLink final : public WorkerLink {
   DecorrelatedBackoff backoff_;
   std::chrono::steady_clock::time_point t0_;
   double next_connect_ms_ = 0.0;
-  bool connected_once_ = false;
+  bool dead_ = false;
   bool fenced_ = false;
-  std::size_t reconnects_ = 0;
   struct Pending {
     std::string line;
     double last_sent_ms = -1.0;  // < 0: never transmitted

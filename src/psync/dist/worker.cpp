@@ -8,7 +8,6 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -26,9 +25,9 @@ namespace {
 // Process-wide shutdown token for worker processes. SIGTERM (the leader
 // reclaiming a straggler's range, or an operator) and SIGINT both request
 // a graceful wind-down: finish/abandon at the next cycle-batch boundary,
-// leave the journal tail durable, exit kWorkerExitCancelled. In socket
-// mode the link also cancels this token when the leader fences the
-// worker's epoch — same wind-down, exit kWorkerExitFenced.
+// ship what finished to the leader, exit kWorkerExitCancelled. The link
+// cancels this token too when it dies: the leader fenced the worker's
+// epoch (exit kWorkerExitFenced) or an inherited link lost the leader.
 CancelToken g_worker_cancel;
 
 void worker_signal_handler(int /*signo*/) { g_worker_cancel.cancel(); }
@@ -40,8 +39,8 @@ void install_worker_signals() {
   sa.sa_flags = 0;  // no SA_RESTART: interrupt blocking syscalls too
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
-  // A dead leader surfaces as EPIPE on the heartbeat write (handled by the
-  // link), never as a fatal SIGPIPE.
+  // A dead leader surfaces as EPIPE on the link's next send (handled by
+  // the link), never as a fatal SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 }
 
@@ -79,15 +78,14 @@ class FaultHookObserver final : public driver::PointObserver {
   const WorkerConfig& cfg_;
 };
 
-/// Socket mode: stream every completed point's journal line to the
-/// leader as the campaign produces events, then drain and flush. The
-/// event log is the bridge — Session::execute publishes each record
-/// after its (leader-side, in our case nonexistent) journal write, in
-/// completion order, so the shipped stream carries exactly the lines a
-/// local JournalWriter would have appended.
+/// Stream every completed point's journal line to the leader as the
+/// campaign produces events. The event log is the bridge —
+/// Session::execute publishes each record in completion order, so the
+/// shipped stream carries exactly the lines a local JournalWriter would
+/// have appended.
 void ship_journal_stream(driver::CampaignHandle& handle,
                          const std::vector<driver::RunPoint>& points,
-                         SocketWorkerLink* link) {
+                         WorkerLink* link) {
   std::size_t cursor = 0;
   std::vector<driver::CampaignEvent> events;
   for (;;) {
@@ -99,7 +97,7 @@ void ship_journal_stream(driver::CampaignHandle& handle,
                                          points[ev.index].digest));
     }
     if (handle.done() && events.empty()) break;
-    if (link->fenced()) break;  // the campaign is being cancelled anyway
+    if (link->dead()) break;  // the campaign is being cancelled anyway
   }
 }
 
@@ -107,17 +105,22 @@ void ship_journal_stream(driver::CampaignHandle& handle,
 /// the budget runs out. Exiting with unacked records is safe — the leader
 /// treats an incomplete journal as undone work and re-runs it — this just
 /// avoids that re-run in the common case of a transient disconnect.
-void flush_unacked(SocketWorkerLink* link, double heartbeat_ms) {
+void flush_unacked(WorkerLink* link, double heartbeat_ms) {
   const double budget_ms =
       std::max(2000.0, heartbeat_ms > 0.0 ? 100.0 * heartbeat_ms : 0.0);
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double, std::milli>(budget_ms));
-  while (link->unacked() > 0 && !link->fenced() &&
+  while (link->unacked() > 0 && !link->dead() &&
          std::chrono::steady_clock::now() < deadline) {
     (void)link->flush(50.0);
   }
+}
+
+/// Exit code of a worker whose link died under it.
+int dead_link_exit(const WorkerLink& link) {
+  return link.fenced() ? kWorkerExitFenced : kWorkerExitCancelled;
 }
 
 }  // namespace
@@ -125,76 +128,60 @@ void flush_unacked(SocketWorkerLink* link, double heartbeat_ms) {
 int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
   install_worker_signals();
   g_worker_cancel.reset();
-  const bool socket_mode = !cfg.connect_host.empty();
+  if (cfg.link_fd < 0 && cfg.connect_host.empty()) {
+    std::fprintf(stderr,
+                 "psync worker (shard %zu): no leader link (neither an "
+                 "inherited fd nor a host to dial)\n",
+                 cfg.shard);
+    return kWorkerExitError;
+  }
 
-  std::unique_ptr<SocketWorkerLink> socket_link;
-  std::unique_ptr<PipeWorkerLink> pipe_link;
-  WorkerLink* link = nullptr;
+  WorkerLinkOptions lopts;
+  lopts.fd = cfg.link_fd;
+  lopts.host = cfg.connect_host;
+  lopts.port = cfg.connect_port;
+  lopts.shard = cfg.shard;
+  lopts.epoch = cfg.epoch;
+  // Jitter seed: decorrelate reconnect schedules across shards and
+  // generations so one partition's survivors don't stampede back in
+  // lockstep.
+  lopts.reconnect_seed = 0x9E3779B97F4A7C15ULL ^
+                         (cfg.epoch * 0x2545F4914F6CDD1DULL + 1) ^
+                         (static_cast<std::uint64_t>(cfg.shard) << 32);
+  lopts.chaos = cfg.chaos;
+  WorkerLink link(lopts, &g_worker_cancel);
   try {
-    if (socket_mode) {
-      SocketLinkOptions lopts;
-      lopts.host = cfg.connect_host;
-      lopts.port = cfg.connect_port;
-      lopts.shard = cfg.shard;
-      lopts.epoch = cfg.epoch;
-      // Jitter seed: decorrelate reconnect schedules across shards and
-      // generations so one partition's survivors don't stampede back in
-      // lockstep.
-      lopts.reconnect_seed =
-          0x9E3779B97F4A7C15ULL ^ (cfg.epoch * 0x2545F4914F6CDD1DULL + 1) ^
-          (static_cast<std::uint64_t>(cfg.shard) << 32);
-      lopts.chaos = cfg.chaos;
-      socket_link = std::make_unique<SocketWorkerLink>(lopts, &g_worker_cancel);
-      link = socket_link.get();
-    } else {
-      pipe_link =
-          std::make_unique<PipeWorkerLink>(cfg.heartbeat_fd, &g_worker_cancel);
-      link = pipe_link.get();
-    }
-
-    HeartbeatEmitter emitter(link, cfg.shard, cfg.heartbeat_ms);
+    HeartbeatEmitter emitter(&link, cfg.shard, cfg.heartbeat_ms);
     FaultHookObserver observer(&emitter, cfg);
 
+    // No local journal: the leader appends shipped records to the shard
+    // journal on its side of the link, and resumes a restarted shard by
+    // narrowing cfg.range past what it already holds.
     spec.shard_begin = cfg.range.begin;
     spec.shard_end = cfg.range.end;
-    if (socket_mode) {
-      // No local journal: the leader appends shipped records to the shard
-      // journal on its side of the wire. Restart resume happens by the
-      // leader narrowing cfg.range to the undone suffix.
-      spec.journal_path.clear();
-      spec.resume = false;
-    } else {
-      spec.journal_path = cfg.journal_path;
-      spec.resume = true;  // a fresh journal resumes trivially; a restarted
-                           // worker picks up where its predecessor died
-    }
+    spec.journal_path.clear();
+    spec.resume = false;
     spec.quarantine_indices = cfg.quarantine;
     spec.cancel = &g_worker_cancel;
     spec.observer = &observer;
 
     // Submit through the Session API and join: same executor as the
-    // serial path, but the validate/freeze phase runs before the shard
-    // journal is touched.
+    // serial path.
     driver::Session session;
     driver::FrozenSpec frozen = driver::Session::freeze(spec);
     const std::vector<driver::RunPoint> points = frozen.points;
     auto handle = session.submit(std::move(frozen));
-    if (socket_mode) {
-      ship_journal_stream(handle, points, socket_link.get());
-    }
+    ship_journal_stream(handle, points, &link);
     handle.wait();
     (void)handle.result();  // rethrows on failure/cancel
-    if (socket_mode) flush_unacked(socket_link.get(), cfg.heartbeat_ms);
-    return kWorkerExitOk;
+    flush_unacked(&link, cfg.heartbeat_ms);
+    // Finished, but the leader never saw the records: not a success.
+    return link.dead() ? dead_link_exit(link) : kWorkerExitOk;
   } catch (const CancelledError&) {
-    if (link != nullptr && link->fenced()) return kWorkerExitFenced;
-    if (socket_link != nullptr) {
-      // A SIGTERMed straggler still owes the leader whatever it finished
-      // (a steal reclaim reads the journal to split the remainder).
-      flush_unacked(socket_link.get(), cfg.heartbeat_ms);
-      if (socket_link->fenced()) return kWorkerExitFenced;
-    }
-    return kWorkerExitCancelled;
+    // A SIGTERMed straggler still owes the leader whatever it finished
+    // (a steal reclaim reads the journal to split the remainder).
+    flush_unacked(&link, cfg.heartbeat_ms);
+    return link.dead() ? dead_link_exit(link) : kWorkerExitCancelled;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psync worker (shard %zu): %s\n", cfg.shard,
                  e.what());

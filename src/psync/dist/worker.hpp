@@ -2,11 +2,12 @@
 // whether it got here by fork() (in-process launcher: tests, benches) or
 // by fork+exec of `psync_sim --worker-shard` (the CLI leader).
 //
-// A worker owns one contiguous window of the sweep grid and one shard
-// journal. It always opens the journal in resume mode, so a replacement
-// for a SIGKILLed worker re-runs only the points its predecessor did not
-// durably finish; flock ownership (common/journal) guarantees the
-// predecessor is actually gone.
+// A worker owns one contiguous window of the sweep grid and journals
+// nothing itself: it ships each completed point's journal record over its
+// link to the leader (transport.hpp), which is the only journal writer. A
+// replacement for a dead worker gets a window the leader narrowed past
+// the records it already holds, so only points that were never durably
+// recorded re-run.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@ namespace psync::dist {
 inline constexpr int kWorkerExitOk = 0;         // shard window complete
 inline constexpr int kWorkerExitError = 1;      // typed failure (see stderr)
 inline constexpr int kWorkerExitCancelled = 4;  // graceful SIGTERM/SIGINT
-/// Socket mode: the leader refused this worker's lease epoch (the shard
+/// Dialed link: the leader refused this worker's lease epoch (the shard
 /// was given away while this worker was partitioned). Not a crash — the
 /// zombie found out it is one and stood down; its seat moved on long ago.
 inline constexpr int kWorkerExitFenced = 5;
@@ -40,23 +41,21 @@ struct WorkerConfig {
   std::size_t generation = 0;
   /// Global grid window this worker executes.
   ShardRange range;
-  /// Shard journal (always opened keep_existing: resume semantics).
-  std::string journal_path;
   /// Grid indices the leader quarantined; recorded, not executed.
   std::vector<std::size_t> quarantine;
-  /// Heartbeat pipe write end (< 0 = no heartbeats) and interval.
-  int heartbeat_fd = -1;
+  /// Heartbeat interval (<= 0: no timer beats, only point start/done).
   double heartbeat_ms = 100.0;
 
-  // --- socket transport (transport.hpp) ---------------------------------
-  /// Leader address to dial; non-empty selects the socket transport. The
-  /// worker then journals nothing locally — it streams each completed
-  /// point's journal line to the leader (at-least-once, leader dedups)
-  /// and `journal_path` stays empty.
+  // --- leader link (transport.hpp) --------------------------------------
+  /// Inherited link: an already-connected stream socket whose peer the
+  /// leader holds (fork workers inherit it; exec'd workers get it as
+  /// `--link-fd N`). The worker owns it. < 0 selects the dialed link.
+  int link_fd = -1;
+  /// Dialed link: the leader's TCP listener.
   std::string connect_host;
   std::uint16_t connect_port = 0;
   /// Lease epoch the leader issued for exactly this launch; the HELLO
-  /// fencing identity. Meaningless in pipe mode.
+  /// fencing identity of a dialed link.
   std::uint64_t epoch = 0;
   /// Seeded frame-level fault injection on the worker's link (tests and
   /// the net-chaos smoke); seed 0 = clean link.
@@ -73,16 +72,17 @@ struct WorkerConfig {
 
 /// Run one shard worker to completion in this process. Installs
 /// SIGTERM/SIGINT handlers (graceful cancel -> kWorkerExitCancelled) and
-/// ignores SIGPIPE (a broken heartbeat pipe cancels the run instead), so
-/// call it only from a process dedicated to being a worker — a forked
-/// child or a `psync_sim --worker-shard` invocation. Never throws.
+/// ignores SIGPIPE (a dead link cancels the run instead), so call it only
+/// from a process dedicated to being a worker — a forked child or a
+/// `psync_sim --worker-shard` invocation. Never throws.
 ///
-/// `spec` is the full-sweep spec; the shard window, journal, quarantine
-/// list, cancel token and heartbeat observer are overlaid from `cfg`.
-/// With `cfg.connect_host` set the worker dials the leader instead of
-/// journaling locally: completed points stream over the socket and the
-/// leader appends them to the shard journal (exit kWorkerExitFenced when
-/// the leader refuses this launch's epoch).
+/// `spec` is the full-sweep spec; the shard window, quarantine list,
+/// cancel token and heartbeat observer are overlaid from `cfg`, and its
+/// journal settings are ignored. Completed points stream over the link
+/// (`cfg.link_fd`, else a dial to `cfg.connect_host`; neither is
+/// kWorkerExitError). A link that dies — the leader fenced this epoch
+/// (kWorkerExitFenced) or an inherited link lost the leader
+/// (kWorkerExitCancelled) — winds the worker down.
 int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg);
 
 }  // namespace psync::dist

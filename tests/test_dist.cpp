@@ -1,12 +1,18 @@
 // Distributed sweeps (src/psync/dist): shard planning, the heartbeat wire
 // codec, flock journal ownership, the crash-identical journal merge, the
-// Runner's shard window, and full leader/worker supervision — worker
-// crash restart, wedge detection via heartbeat liveness, crash-loop
-// quarantine, and work stealing — all asserted against the tentpole
-// invariant: the merged output is byte-identical to a single-process run.
+// Runner's shard window, the worker entry point on an inherited link, and
+// full leader/worker supervision — worker crash restart, wedge detection
+// via heartbeat liveness, crash-loop quarantine, and work stealing — all
+// asserted against the tentpole invariant: the merged output is
+// byte-identical to a single-process run.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <chrono>
 #include <cstdio>
@@ -18,6 +24,7 @@
 
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
+#include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
 #include "psync/dist/merge.hpp"
 #include "psync/dist/shard.hpp"
@@ -638,16 +645,128 @@ TEST(DistributedSocket, ReconnectingWorkerResumesWithoutDataLoss) {
 }
 
 TEST(Distributed, WorkerEntryPointCompletesAShardInProcess) {
+  // The test plays the leader on the other end of the worker's inherited
+  // socketpair: it acks every journal frame, and the worker — which keeps
+  // no journal of its own — must ship exactly its window's records.
   const auto spec = make_spec(uniform(5, 0.0));
-  const std::string journal = fresh_base("worker.jsonl");
+  int link[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, link), 0);
   WorkerConfig cfg;
   cfg.range = {1, 4};
-  cfg.journal_path = journal;
-  cfg.heartbeat_fd = -1;  // no pipe: single-process smoke of the entry
-  EXPECT_EQ(run_worker(spec, cfg), kWorkerExitOk);
-  const auto lines = read_journal_lines(journal);
-  EXPECT_EQ(lines.size(), 3u);
-  std::remove(journal.c_str());
+  cfg.link_fd = link[1];  // the worker owns and closes it
+  cfg.heartbeat_ms = 5.0;
+  int rc = -1;
+  std::thread worker([&] { rc = run_worker(spec, cfg); });
+
+  FrameDecoder decoder;
+  std::vector<std::size_t> shipped;
+  std::size_t heartbeats = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "worker never closed its link";
+      break;  // closing our end below makes the worker wind down
+    }
+    pollfd pfd{link[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::read(link[0], buf, sizeof(buf));
+    if (n <= 0) break;  // the worker closed its link: it is done
+    decoder.feed(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    while (decoder.next(&frame) == FrameDecoder::Result::kFrame) {
+      if (frame.kind == FrameKind::kHeartbeat) ++heartbeats;
+      if (frame.kind != FrameKind::kJournal) continue;
+      std::size_t index = 0;
+      std::string line;
+      driver::JournalEntry entry;
+      EXPECT_TRUE(parse_journal_payload(frame.payload, &index, &line) &&
+                  driver::parse_journal_line(line, &entry) &&
+                  entry.rec.index == index)
+          << frame.payload;
+      shipped.push_back(index);
+      const std::string ack =
+          encode_frame({FrameKind::kJournalAck, journal_ack_payload(index)});
+      EXPECT_EQ(::write(link[0], ack.data(), ack.size()),
+                static_cast<ssize_t>(ack.size()));
+    }
+  }
+  ::close(link[0]);
+  worker.join();
+  EXPECT_EQ(rc, kWorkerExitOk);
+  EXPECT_EQ(shipped, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_GE(heartbeats, 6u);  // a start and a done beat per point
+}
+
+TEST(Distributed, InheritedLinkWithoutALeaderCancelsTheWorker) {
+  // The leader's end is already closed: the worker's first send fails,
+  // the link is dead for good (no reconnect on an inherited link), and
+  // the worker winds down as cancelled instead of computing for nobody.
+  const auto spec = make_spec(uniform(20, 20.0));  // 400 ms if run through
+  int link[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, link), 0);
+  ::close(link[0]);
+  WorkerConfig cfg;
+  cfg.range = {0, 20};
+  cfg.link_fd = link[1];
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(run_worker(spec, cfg), kWorkerExitCancelled);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  // Bound: at most the one point already started (20 ms) plus slack for
+  // a loaded host — well under the 400 ms a full run would take.
+  EXPECT_LT(ms, 250.0);
+}
+
+TEST(Distributed, WorkersWriteNoFilesTheLeaderJournalsEveryRecord) {
+  // Every worker runs under RLIMIT_FSIZE 0, so any write it made to a
+  // regular file would fail (EFBIG) and turn into a worker error and a
+  // restart. The sweep must still finish clean: every shard-journal line
+  // was written by the leader from a shipped frame.
+  const auto spec = make_spec(uniform(9, 1.0));
+  const auto serial = Runner::run(spec);
+  const std::string base = fresh_base("leader_writes");
+  const WorkerBody body = [](const ExperimentSpec& wspec,
+                             const WorkerConfig& cfg) {
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of a kill
+    const rlimit none{0, 0};
+    if (::setrlimit(RLIMIT_FSIZE, &none) != 0) return 99;
+    return run_worker(wspec, cfg);
+  };
+  auto opts = fast_opts(base, 3);
+  opts.steal = false;
+  const auto dist = run_distributed(spec, opts, body);
+  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
+  EXPECT_EQ(dist.campaign.worker_restarts, 0u);
+  EXPECT_TRUE(dist.campaign.worker_failures.empty());
+  std::size_t lines = 0;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    const std::string path = shard_journal_path(base, shard);
+    lines += read_journal_lines(path).size();
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(lines, 9u);
+}
+
+TEST(Distributed, StreamingMergeDeliversRecordsInGridOrder) {
+  // The inherited links feed the streaming merge the same way TCP does:
+  // straight off the journal frames the leader appends.
+  const auto spec = make_spec(uniform(10, 1.0));
+  const auto serial = Runner::run(spec);
+  auto opts = fast_opts(fresh_base("stream"), 3);
+  std::vector<std::size_t> streamed;
+  opts.on_record = [&](std::size_t index, const RunRecord& rec) {
+    streamed.push_back(index);
+    EXPECT_EQ(rec.index, index);
+  };
+  const auto dist = run_distributed(spec, opts);
+  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
+  ASSERT_EQ(streamed.size(), 10u);
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i], i);
+  }
 }
 
 }  // namespace

@@ -944,15 +944,14 @@ TEST(Daemon, ShutdownOpWakesWaiters) {
 }
 
 TEST(Daemon, DistSocketBackendMatchesTheRunnerAndStreamsSubscribe) {
-  // The daemon executing campaigns across TCP-socket worker processes is
-  // still byte-identical to the in-process Runner, and a subscriber sees
-  // the per-point stream the distributed merge feeds through the
-  // campaign's event channel.
+  // The daemon executing campaigns across worker processes (frames over
+  // inherited socketpairs) is still byte-identical to the in-process
+  // Runner, and a subscriber sees the per-point stream the distributed
+  // merge feeds through the campaign's event channel.
   ServerOptions opts;
   opts.socket_path = temp_path("dist_sock_" + std::to_string(::getpid()));
   std::remove(opts.socket_path.c_str());
   opts.dist_workers = 2;
-  opts.dist_socket = true;
   Server server(opts);
   server.start();
 

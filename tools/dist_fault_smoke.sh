@@ -6,7 +6,7 @@
 #   1. single-process, as the byte-exact JSON + CSV reference;
 #   2. with --workers 3 and one worker process SIGKILL'd at a randomized
 #      delay — the leader must detect the death via heartbeat loss/exit,
-#      restart the shard (resuming its journal), and finish.
+#      restart the shard past the points its journal holds, and finish.
 # The merged distributed output must be byte-identical to the reference.
 # Several rounds randomize which worker dies and when, so the kill lands
 # on different shards at different progress points.

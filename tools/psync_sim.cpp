@@ -70,31 +70,33 @@
 // the JSON/CSV status columns.
 //
 // Distributed sweeps: --workers N shards the grid across N worker
-// *processes* supervised by this one (src/psync/dist): per-shard fsync'd
-// journals, heartbeat liveness (--heartbeat-ms, default 100), automatic
-// restart-with-backoff of crashed or wedged workers, work stealing from
-// stragglers, and a final merge that renders byte-identical output to a
-// single-process run — see docs/robustness.md. Workers are launched as
-// `psync_sim --worker-shard A:B ...` re-invocations of this binary; the
-// worker flags are internal plumbing, not a user interface. --journal
-// doubles as the shard-journal base path (default: under /tmp).
+// *processes* supervised by this one (src/psync/dist): heartbeat
+// liveness (--heartbeat-ms, default 100), automatic restart-with-backoff
+// of crashed or wedged workers, work stealing from stragglers, and a
+// final merge that renders byte-identical output to a single-process
+// run — see docs/robustness.md. Workers are launched as
+// `psync_sim --worker-shard A:B --link-fd N ...` re-invocations of this
+// binary, each inheriting one end of a socketpair; the worker flags are
+// internal plumbing, not a user interface. Workers ship every finished
+// point's journal record to the leader as a frame, and the leader writes
+// the per-shard fsync'd journals. --journal doubles as the shard-journal
+// base path (default: under /tmp).
 //
-// Remote workers: --listen [HOST:]PORT (PORT 0 = ephemeral) switches the
-// leader to the TCP socket transport — workers dial back, heartbeats and
-// per-point journal records travel as length-prefixed frames, the leader
-// appends records to the local shard journals (fsync before ack) and
-// fences zombie workers by lease epoch. --advertise HOST is the address
-// workers are told to dial when it differs from the bind address (two-host
-// runs; see EXPERIMENTS.md). A worker launched by hand connects with
+// Remote workers: --listen [HOST:]PORT (PORT 0 = ephemeral) makes workers
+// dial a TCP listener instead of inheriting a socketpair: the same frames,
+// plus reconnect with backoff and fencing of zombie workers by lease
+// epoch. --advertise HOST is the address workers are told to dial when it
+// differs from the bind address (two-host runs; see EXPERIMENTS.md). A
+// worker launched by hand connects with
 // `psync_sim --worker-shard A:B --connect HOST:PORT --worker-epoch E ...`.
 //
-// Network chaos (tests and the net-chaos CI smoke): --chaos-seed S arms a
-// deterministic frame-level fault injector on every worker's link
-// (per-shard derived seeds); --chaos-drop/--chaos-dup/--chaos-reorder/
-// --chaos-delay set per-frame probabilities, --chaos-delay-ms the hold
-// time, and --chaos-partition-after N/--chaos-partition-ms T sever the
-// connection after N frames for T ms (with --chaos-partition-repeat
-// re-arming it). The merged output must stay byte-identical to a serial
+// Network chaos (tests and the net-chaos CI smoke; requires --listen):
+// --chaos-seed S arms a deterministic frame-level fault injector on every
+// worker's link (per-shard derived seeds); --chaos-drop/--chaos-dup/
+// --chaos-reorder/--chaos-delay set per-frame probabilities in [0,1],
+// --chaos-delay-ms the hold time, and --chaos-partition-after N/
+// --chaos-partition-ms T sever the connection after N frames for T ms
+// (with --chaos-partition-repeat re-arming it). The merged output must stay byte-identical to a serial
 // run under any of this — that is the property the flags exist to test.
 //
 // Graceful shutdown: SIGTERM or SIGINT cancels the sweep cooperatively —
@@ -113,10 +115,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "psync/common/config.hpp"
@@ -330,6 +335,32 @@ bool parse_index_list(const std::string& arg, std::vector<std::size_t>* out) {
   return true;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Strict values for the worker and chaos flags: the whole argument must
+/// parse as a T in [lo, hi]. "abc", "12x" or "-1" for a count is reported
+/// naming the flag, never read as a silent 0.
+template <typename T>
+bool flag_value(const std::string& flag, const char* text, T* out,
+                T lo = std::numeric_limits<T>::lowest(),
+                T hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec == std::errc() && ptr == end && v >= lo && v <= hi) {
+    *out = v;
+    return true;
+  }
+  const char* want = std::is_floating_point_v<T>
+                         ? (hi == T(1) ? "a probability in [0,1]"
+                                       : "a number >= 0")
+                     : lo < T(0) ? "an integer"
+                                 : "a non-negative integer";
+  std::fprintf(stderr, "psync_sim: %s expects %s, got '%s'\n", flag.c_str(),
+               want, text);
+  return false;
+}
+
 /// --profile: wall-clock breakdown of the tool's own phases plus the
 /// per-point cost of the sweep. Goes to stderr so piped --json/--csv
 /// output stays parseable. Host timing only — simulated time is in the
@@ -387,12 +418,18 @@ int main(int argc, char** argv) {
   // Frame-level fault injection on the worker links (leader forwards it to
   // every worker it launches; a worker applies it to its own link).
   dist::ChaosOptions chaos;
+  bool saw_chaos = false;
   // Internal worker-mode plumbing (leader-launched re-invocations).
   bool worker_mode = false;
   dist::WorkerConfig worker_cfg;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    saw_chaos = saw_chaos || arg.rfind("--chaos-", 0) == 0;
+    // The flag's value, parsed strictly into *out (see flag_value).
+    const auto value = [&](auto* out, auto... bounds) {
+      return i + 1 < argc && flag_value(arg, argv[++i], out, bounds...);
+    };
     if (arg == "--demo") {
       std::printf("%s", kDemo);
       return 0;
@@ -443,30 +480,21 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       advertise_host = argv[++i];
     } else if (arg == "--chaos-seed") {
-      if (i + 1 >= argc) return usage();
-      chaos.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!value(&chaos.seed)) return usage();
     } else if (arg == "--chaos-drop") {
-      if (i + 1 >= argc) return usage();
-      chaos.drop = std::atof(argv[++i]);
+      if (!value(&chaos.drop, 0.0, 1.0)) return usage();
     } else if (arg == "--chaos-dup") {
-      if (i + 1 >= argc) return usage();
-      chaos.duplicate = std::atof(argv[++i]);
+      if (!value(&chaos.duplicate, 0.0, 1.0)) return usage();
     } else if (arg == "--chaos-reorder") {
-      if (i + 1 >= argc) return usage();
-      chaos.reorder = std::atof(argv[++i]);
+      if (!value(&chaos.reorder, 0.0, 1.0)) return usage();
     } else if (arg == "--chaos-delay") {
-      if (i + 1 >= argc) return usage();
-      chaos.delay = std::atof(argv[++i]);
+      if (!value(&chaos.delay, 0.0, 1.0)) return usage();
     } else if (arg == "--chaos-delay-ms") {
-      if (i + 1 >= argc) return usage();
-      chaos.delay_ms = std::atof(argv[++i]);
+      if (!value(&chaos.delay_ms, 0.0, kInf)) return usage();
     } else if (arg == "--chaos-partition-after") {
-      if (i + 1 >= argc) return usage();
-      chaos.partition_after =
-          static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!value(&chaos.partition_after)) return usage();
     } else if (arg == "--chaos-partition-ms") {
-      if (i + 1 >= argc) return usage();
-      chaos.partition_ms = std::atof(argv[++i]);
+      if (!value(&chaos.partition_ms, 0.0, kInf)) return usage();
     } else if (arg == "--chaos-partition-repeat") {
       chaos.partition_repeat = true;
     } else if (arg == "--connect") {  // worker mode: dial the leader
@@ -476,36 +504,27 @@ int main(int argc, char** argv) {
                                  &worker_cfg.connect_port)) {
         return usage();
       }
-    } else if (arg == "--worker-epoch") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.epoch = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--worker-shard") {
       if (i + 1 >= argc) return usage();
       worker_mode = true;
       if (!parse_shard_range(argv[++i], &worker_cfg.range)) return usage();
-    } else if (arg == "--worker-id") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.shard = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--worker-generation") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.generation = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--worker-journal") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.journal_path = argv[++i];
-    } else if (arg == "--heartbeat-fd") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.heartbeat_fd = static_cast<int>(std::atol(argv[++i]));
     } else if (arg == "--quarantine") {
       if (i + 1 >= argc) return usage();
       if (!parse_index_list(argv[++i], &worker_cfg.quarantine)) {
         return usage();
       }
-    } else if (arg == "--crash-on-index") {  // fault injection (tests/smoke)
-      if (i + 1 >= argc) return usage();
-      worker_cfg.crash_on_index = std::atol(argv[++i]);
+    } else if (arg == "--worker-id") {
+      if (!value(&worker_cfg.shard)) return usage();
+    } else if (arg == "--worker-generation") {
+      if (!value(&worker_cfg.generation)) return usage();
+    } else if (arg == "--worker-epoch") {
+      if (!value(&worker_cfg.epoch)) return usage();
+    } else if (arg == "--link-fd") {
+      if (!value(&worker_cfg.link_fd, 0)) return usage();
+    } else if (arg == "--crash-on-index") {  // fault injection; < 0 is off
+      if (!value(&worker_cfg.crash_on_index)) return usage();
     } else if (arg == "--stall-on-index") {
-      if (i + 1 >= argc) return usage();
-      worker_cfg.stall_on_index = std::atol(argv[++i]);
+      if (!value(&worker_cfg.stall_on_index)) return usage();
     } else if (!arg.empty() && arg.front() == '-') {
       return usage();
     } else if (config_path.empty()) {
@@ -533,6 +552,13 @@ int main(int argc, char** argv) {
   }
   if (!advertise_host.empty() && listen_spec.empty()) {
     std::fprintf(stderr, "psync_sim: --advertise requires --listen\n");
+    return usage();
+  }
+  // Chaos acts on dialed TCP links (a leader's --listen, which forwards it
+  // to its --connect workers). On an inherited link a partition would end
+  // the link for good, and a serial run has no link at all.
+  if (saw_chaos && listen_spec.empty() && worker_cfg.connect_host.empty()) {
+    std::fprintf(stderr, "psync_sim: --chaos-* requires --listen\n");
     return usage();
   }
 
@@ -637,18 +663,14 @@ int main(int argc, char** argv) {
             "--heartbeat-ms", std::to_string(wc.heartbeat_ms),
             "--threads", "1"};
         if (!wc.connect_host.empty()) {
-          // Socket transport: dial the leader, ship records, no local
-          // journal or heartbeat pipe.
           args.push_back("--connect");
           args.push_back(wc.connect_host + ":" +
                          std::to_string(wc.connect_port));
           args.push_back("--worker-epoch");
           args.push_back(std::to_string(wc.epoch));
         } else {
-          args.push_back("--worker-journal");
-          args.push_back(wc.journal_path);
-          args.push_back("--heartbeat-fd");
-          args.push_back(std::to_string(wc.heartbeat_fd));
+          args.push_back("--link-fd");  // the socketpair end exec keeps
+          args.push_back(std::to_string(wc.link_fd));
         }
         if (wc.chaos.seed != 0) {
           const auto dbl = [](double v) {
