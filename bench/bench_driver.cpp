@@ -26,7 +26,6 @@
 #include "psync/common/rng.hpp"
 #include "psync/core/cp_compile.hpp"
 #include "psync/core/sca.hpp"
-#include "psync/dist/shard.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/driver/session.hpp"
@@ -374,11 +373,11 @@ std::uint64_t run_driver_sweep_fft2d(std::uint64_t iters, bool journal) {
 }
 
 // The distributed leader adds a fork, frame shipping over the worker's
-// socketpair, heartbeat supervision, and a final journal merge around the
-// same sweep. With a single worker that
-// wrapper is pure overhead, so timing it against the in-process journaled
-// sweep isolates the cost of distribution itself.
-constexpr const char* kBenchDistBase = "bench_dist.tmp";
+// socketpair and heartbeat supervision around the same sweep, journaling
+// every record the way the in-process sweep does. With a single worker
+// that wrapper is pure overhead, so timing it against the in-process
+// journaled sweep isolates the cost of distribution itself.
+constexpr const char* kBenchDistJournal = "bench_dist.tmp.jsonl";
 
 std::uint64_t run_driver_sweep_dist(std::uint64_t iters) {
   std::uint64_t points = 0;
@@ -391,11 +390,11 @@ std::uint64_t run_driver_sweep_dist(std::uint64_t iters) {
     spec.axes.push_back({"blocks", {1, 2, 4, 8}});
     psync::dist::SupervisorOptions opts;
     opts.workers = 1;
-    opts.journal_base = kBenchDistBase;
+    opts.journal_base = kBenchDistJournal;
     const auto result = psync::dist::run_distributed(spec, opts);
     if (!result.campaign.all_ok()) std::abort();
     points += result.records.size();
-    std::remove(psync::dist::shard_journal_path(kBenchDistBase, 0).c_str());
+    std::remove(kBenchDistJournal);
   }
   return points;
 }
@@ -629,8 +628,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Distributed-leader overhead gate: fork/exec, heartbeat supervision,
-  // and the final shard merge must stay cheap next to the sweep itself.
+  // Distributed-leader overhead gate: fork/exec and heartbeat supervision
+  // must stay cheap next to the sweep itself.
   // Compared against the *journaled* in-process sweep — the leader
   // journals every record the worker ships, so the difference is
   // distribution alone. Same dual

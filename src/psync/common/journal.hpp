@@ -58,19 +58,12 @@ class JournalWriter {
 [[nodiscard]] std::vector<std::string> list_journal_files(
     const std::string& dir);
 
-/// fsync the directory containing `path`, making a just-created (or
-/// just-renamed) directory entry itself durable: fsync(file) persists the
+/// fsync the directory containing `path`, making a just-created
+/// directory entry itself durable: fsync(file) persists the
 /// file's bytes, but the *name* lives in the parent directory's data, and
 /// a crash between the two can resurface an empty/absent journal a reader
 /// already saw. Best-effort: filesystems that refuse directory fsync
 /// (some network mounts) are ignored rather than failed.
 void fsync_parent_dir(const std::string& path);
-
-/// rename(2) `from` over `to`, then fsync the destination's parent
-/// directory, so the rename survives a crash (a plain rename can be
-/// reordered behind it by the filesystem journal — the classic
-/// rename-then-crash hole). Throws SimulationError when the rename itself
-/// fails.
-void durable_rename(const std::string& from, const std::string& to);
 
 }  // namespace psync

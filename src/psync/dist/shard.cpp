@@ -4,8 +4,23 @@
 
 namespace psync::dist {
 
-std::vector<ShardRange> plan_shards(std::size_t points, std::size_t workers) {
-  return split_range(ShardRange{0, points}, std::max<std::size_t>(workers, 1));
+std::vector<ShardRange> plan_shards(const std::vector<char>& recorded,
+                                    std::size_t workers) {
+  workers = std::max<std::size_t>(workers, 1);
+  std::vector<ShardRange> gaps;
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    if (recorded[i] != 0) continue;
+    if (gaps.empty() || gaps.back().end != i) gaps.push_back({i, i});
+    ++gaps.back().end;
+    ++missing;
+  }
+  std::vector<ShardRange> out;
+  for (const auto& gap : gaps) {
+    const std::size_t share = (workers * gap.size() + missing - 1) / missing;
+    for (const auto& piece : split_range(gap, share)) out.push_back(piece);
+  }
+  return out;
 }
 
 std::vector<ShardRange> split_range(const ShardRange& range,
@@ -23,13 +38,6 @@ std::vector<ShardRange> split_range(const ShardRange& range,
     at += len;
   }
   return out;
-}
-
-std::string shard_journal_path(const std::string& base, std::size_t shard,
-                               std::size_t steal_chunk) {
-  std::string path = base + ".shard" + std::to_string(shard);
-  if (steal_chunk > 0) path += ".steal" + std::to_string(steal_chunk);
-  return path + ".jsonl";
 }
 
 }  // namespace psync::dist

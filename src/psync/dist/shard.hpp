@@ -1,16 +1,15 @@
-// Shard planning for distributed sweeps: how one sweep grid is cut into
-// contiguous per-worker ranges, and how shard checkpoint journals are
-// named. Pure functions — the supervisor owns all runtime state.
+// Shard planning for distributed sweeps: how the unrecorded part of one
+// sweep grid is cut into contiguous per-worker ranges. Pure functions —
+// the supervisor owns all runtime state.
 //
 // Ranges are contiguous because workers execute their window in ascending
 // grid order (threads = 1 per worker by default), which makes "the
 // unfinished remainder of a shard" a suffix — the property the
 // work-stealing re-partitioner leans on. Correctness never depends on it:
-// the journal merger dedupes and validates by global index.
+// the leader's record table dedupes and validates by global index.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace psync::dist {
@@ -26,24 +25,21 @@ struct ShardRange {
   }
 };
 
-/// Partition `points` grid indices into at most `workers` contiguous,
-/// non-empty, gap-free ranges covering [0, points). The first
-/// `points % workers` shards get the extra point, so sizes differ by at
-/// most one. `workers` == 0 is treated as 1; more workers than points
-/// yields `points` single-point shards.
-std::vector<ShardRange> plan_shards(std::size_t points, std::size_t workers);
+/// Partition the gaps of a grid — the indices i with recorded[i] == 0 —
+/// into contiguous, non-empty ranges that cover every gap and no recorded
+/// index. Each maximal gap run gets a share of `workers` proportional to
+/// its length (rounded up, at least one), split as split_range does, so a
+/// fresh grid (no index recorded) yields `workers` shards whose sizes
+/// differ by at most one, the first `points % workers` getting the extra
+/// point. `workers` == 0 is treated as 1; a fully recorded grid yields no
+/// shards.
+std::vector<ShardRange> plan_shards(const std::vector<char>& recorded,
+                                    std::size_t workers);
 
 /// Split `range` into at most `pieces` contiguous non-empty sub-ranges
 /// (same balancing rule). Used when a straggler's or dead worker's
 /// remaining window is re-partitioned across idle slots.
 std::vector<ShardRange> split_range(const ShardRange& range,
                                     std::size_t pieces);
-
-/// Canonical shard-journal filename: "<base>.shard<i>.jsonl" for a
-/// first-generation shard, "<base>.shard<i>.steal<k>.jsonl" (k >= 1) for
-/// the k-th range stolen off shard i. Keeping every generation's file
-/// distinct means the merger can always read the union.
-std::string shard_journal_path(const std::string& base, std::size_t shard,
-                               std::size_t steal_chunk = 0);
 
 }  // namespace psync::dist

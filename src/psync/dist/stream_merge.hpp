@@ -1,26 +1,21 @@
 // StreamingMerger: the live, in-order view of a distributed sweep.
 //
-// The batch merge (merge.hpp) runs once at the end over the journal
-// files — it is the truth the final SweepResult comes from. This class is
-// its streaming twin: the supervisor offers journal records as they land
-// off the workers' links, in whatever order shards produce them, and the merger emits the longest contiguous
-// grid-order prefix to its sink. Subscribers of a served campaign see
-// partial tables grow front-to-back while late shards still compute,
-// instead of waiting for the last one.
-//
-// Dedup semantics mirror merge_journals exactly: first record per index
-// wins, a later duplicate that agrees on status is tolerated and counted
-// (retransmitted frames, a steal overlap), a disagreeing duplicate throws
-// JournalConflictError — better a loud failure than silently picking one
-// of two contradictory results.
+// The leader keeps one grid-indexed record table (driver::RecordTable)
+// fed by the journal it resumed and by every record a worker ships; the
+// table is both the journal's dedup rule and the final SweepResult. This
+// class is a cursor over it: after each fresh record the supervisor calls
+// advance(), and the cursor emits the longest contiguous grid-order prefix
+// it has not emitted yet. Subscribers of a served campaign see partial
+// tables grow front-to-back while late shards still compute, instead of
+// waiting for the last one. Duplicates never reach the cursor — the
+// table already refused or counted them.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <map>
-#include <vector>
+#include <utility>
 
-#include "psync/driver/workload.hpp"
+#include "psync/driver/campaign.hpp"
 
 namespace psync::dist {
 
@@ -28,33 +23,23 @@ class StreamingMerger {
  public:
   using Emit = std::function<void(std::size_t, const driver::RunRecord&)>;
 
-  /// `grid` is the full sweep size; `emit` receives (index, record) in
-  /// strictly ascending index order. `emit` may be empty (count-only).
-  StreamingMerger(std::size_t grid, Emit emit);
+  /// `emit` receives (index, record) in strictly ascending index order.
+  explicit StreamingMerger(Emit emit) : emit_(std::move(emit)) {}
 
-  /// Offer one record (any arrival order). Returns true when the record
-  /// was fresh — first seen for its index. Throws JournalConflictError on
-  /// an out-of-grid index or a status-disagreeing duplicate.
-  bool offer(const driver::RunRecord& rec);
+  /// Emit every record of `table` from emitted() up to its first gap.
+  void advance(const driver::RecordTable& table) {
+    while (next_ < table.size() && table.has(next_)) {
+      if (emit_) emit_(next_, table[next_]);
+      ++next_;
+    }
+  }
 
   /// Indices [0, emitted()) have been delivered to the sink.
   [[nodiscard]] std::size_t emitted() const { return next_; }
-  /// Fresh records seen so far (emitted + held).
-  [[nodiscard]] std::size_t arrived() const { return arrived_; }
-  /// Records waiting on a lower-index gap.
-  [[nodiscard]] std::size_t held() const { return held_.size(); }
-  /// Agreeing duplicates tolerated.
-  [[nodiscard]] std::size_t duplicates() const { return duplicates_; }
 
  private:
-  std::size_t grid_;
   Emit emit_;
   std::size_t next_ = 0;
-  std::size_t arrived_ = 0;
-  std::size_t duplicates_ = 0;
-  std::vector<char> seen_;
-  std::vector<driver::PointStatus> status_;  // for post-emit dup checks
-  std::map<std::size_t, driver::RunRecord> held_;
 };
 
 }  // namespace psync::dist

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -27,7 +26,6 @@
 #include "psync/dist/backoff.hpp"
 #include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
-#include "psync/dist/merge.hpp"
 #include "psync/dist/stream_merge.hpp"
 #include "psync/dist/transport.hpp"
 #include "psync/driver/campaign.hpp"
@@ -82,25 +80,23 @@ bool send_frame_fd(int fd, const Frame& frame) {
   return true;
 }
 
-/// Leader-side journal ownership for one assignment: the writer holding
-/// the shard journal's flock, plus the per-index status map that makes
-/// retransmitted journal frames idempotent and tells the leader what is
-/// still undone. Shared because a steal re-partition hands chunk 0 the
-/// same journal file.
-struct LeaderJournal {
-  JournalWriter writer;
-  std::map<std::size_t, driver::PointStatus> status;
-};
+/// The campaign's one journal file: `base` itself when it already names a
+/// ".jsonl" file, otherwise base + ".jsonl".
+std::string journal_file(const std::string& base) {
+  const std::string ext = ".jsonl";
+  const bool named =
+      base.size() >= ext.size() &&
+      base.compare(base.size() - ext.size(), ext.size(), ext) == 0;
+  return named ? base : base + ext;
+}
 
-/// One unit of schedulable work: a contiguous grid range bound to its own
-/// checkpoint journal. Assignments outlive the workers that execute them —
-/// a crashed worker's assignment is relaunched, a straggler's is split.
+/// One unit of schedulable work: a contiguous grid range. Assignments
+/// outlive the workers that execute them — a crashed worker's assignment
+/// is relaunched, a straggler's is split.
 struct Assignment {
-  std::size_t shard = 0;        // original shard id (journal naming)
+  std::size_t shard = 0;     // original shard id (incidents, epochs)
   ShardRange range;
-  std::string journal;
-  std::size_t launches = 0;     // processes started for this assignment
-  std::shared_ptr<LeaderJournal> led;  // opened on the first launch
+  std::size_t launches = 0;  // processes started for this assignment
 };
 
 enum class SeatState {
@@ -128,7 +124,7 @@ struct Seat {
   std::uint64_t reported_done = 0; // points finished this launch (heartbeat)
   bool wedge_killed = false;  // liveness SIGKILL sent; incident recorded
   bool lost = false;          // connection-loss incident recorded
-  bool stealing = false;      // kTerming is a steal reclaim, not shutdown
+  bool reclaiming = false;    // kTerming is a steal reclaim, not shutdown
   std::optional<DecorrelatedBackoff> restart_backoff;
 };
 
@@ -143,11 +139,16 @@ class Supervisor {
  public:
   Supervisor(const driver::ExperimentSpec& spec, const SupervisorOptions& opts,
              const WorkerBody& body, const LaunchHook& hook)
-      : spec_(spec), opts_(opts), body_(body), hook_(hook) {
+      : spec_(spec),
+        opts_(opts),
+        body_(body),
+        hook_(hook),
+        points_(driver::SweepEngine::expand(spec)),
+        table_(points_, spec.workload) {
     if (opts_.journal_base.empty()) {
       throw ConfigError(
-          "distributed sweep requires a journal base path (the shard "
-          "journals are the crash-safety mechanism, not an option)");
+          "distributed sweep requires a journal base path (the journal is "
+          "the crash-safety mechanism, not an option)");
     }
     if (opts_.workers == 0) opts_.workers = 1;
     socket_ = opts_.transport == TransportKind::kSocket;
@@ -159,23 +160,30 @@ class Supervisor {
     worker_spec_.quarantine_indices.clear();
     worker_spec_.shard_begin = 0;
     worker_spec_.shard_end = static_cast<std::size_t>(-1);
-    points_ = driver::SweepEngine::expand(spec);
   }
 
   ~Supervisor() { teardown(); }
 
   driver::SweepResult run() {
+    // Open the journal the way Session::execute does: on resume, replay
+    // it through the one journal reader — a corrupt or foreign file is a
+    // typed error before any worker exists — and append after it;
+    // otherwise start it empty. Only the gaps are planned into shards.
+    const std::string path = journal_file(opts_.journal_base);
+    if (spec_.resume) resumed_ = table_.replay(path).size();
+    journal_.open(path, /*keep_existing=*/spec_.resume);
+    if (opts_.on_record) {
+      stream_.emplace(opts_.on_record);
+      stream_->advance(table_);  // resumed history subscribers have not seen
+    }
     if (socket_) {
       listen_fd_ = tcp_listen(opts_.listen_host, opts_.listen_port,
                               &listen_port_);
     }
-    if (opts_.on_record) merger_.emplace(points_.size(), opts_.on_record);
-    for (const auto& range : plan_shards(points_.size(), opts_.workers)) {
+    for (const auto& range : plan_shards(table_.present(), opts_.workers)) {
       Assignment asg;
       asg.shard = next_shard_id_++;
       asg.range = range;
-      asg.journal = shard_journal_path(opts_.journal_base, asg.shard);
-      journal_paths_.push_back(asg.journal);
       queue_.push_back(std::move(asg));
     }
     seats_.resize(opts_.workers);
@@ -196,7 +204,7 @@ class Supervisor {
     teardown();
     if (shutdown_) {
       throw CancelledError(
-          "distributed sweep cancelled; shard journal tails are durable");
+          "distributed sweep cancelled; journal tail is durable");
     }
     return assemble();
   }
@@ -253,14 +261,14 @@ class Supervisor {
         case SeatState::kRunning:
           if (seat.pid > 0) ::kill(seat.pid, SIGTERM);
           seat.state = SeatState::kTerming;
-          seat.stealing = false;
+          seat.reclaiming = false;
           seat.term_deadline = after_ms(now, opts_.term_grace_ms);
           break;
         case SeatState::kBackoff:
           seat.state = SeatState::kIdle;  // never relaunched
           break;
         case SeatState::kTerming:
-          seat.stealing = false;  // the exit now just winds down
+          seat.reclaiming = false;  // the exit now just winds down
           break;
         case SeatState::kIdle:
           break;
@@ -312,7 +320,7 @@ class Supervisor {
     if (victim == nullptr) return;
     ::kill(victim->pid, SIGTERM);
     victim->state = SeatState::kTerming;
-    victim->stealing = true;
+    victim->reclaiming = true;
     victim->term_deadline = after_ms(now, opts_.term_grace_ms);
   }
 
@@ -332,10 +340,6 @@ class Supervisor {
   // --- process lifecycle -----------------------------------------------
 
   void launch(Seat& seat) {
-    // The leader owns the journal: open (resume) it on the assignment's
-    // first launch and seed the dedup map from whatever a predecessor
-    // durably recorded.
-    if (!seat.asg.led) attach_leader_journal(seat.asg);
     WorkerConfig cfg;
     cfg.shard = seat.asg.shard;
     cfg.generation = seat.asg.launches;
@@ -345,8 +349,7 @@ class Supervisor {
     // A worker has no journal to resume from, so the leader narrows its
     // window past the durably-done prefix. Interior gaps (a steal
     // overlap) re-run and land as agreeing duplicates.
-    while (cfg.range.begin < cfg.range.end &&
-           seat.asg.led->status.count(cfg.range.begin) != 0) {
+    while (cfg.range.begin < cfg.range.end && table_.has(cfg.range.begin)) {
       ++cfg.range.begin;
     }
     if (cfg.range.begin >= cfg.range.end) {
@@ -420,24 +423,8 @@ class Supervisor {
     seat.reported_done = 0;
     seat.wedge_killed = false;
     seat.lost = false;
-    seat.stealing = false;
+    seat.reclaiming = false;
     ++seat.asg.launches;
-  }
-
-  /// Open the leader's writer on an assignment's journal and replay its
-  /// existing records into the dedup map (and the streaming merger — a
-  /// resumed file is history subscribers have not seen).
-  void attach_leader_journal(Assignment& asg) {
-    asg.led = std::make_shared<LeaderJournal>();
-    for (const auto& line : read_journal_lines(asg.journal)) {
-      driver::JournalEntry entry;
-      // Unparseable lines read as undone here and re-run; the final merge
-      // still applies the strict typed checks to every line.
-      if (!driver::parse_journal_line(line, &entry)) continue;
-      asg.led->status.emplace(entry.rec.index, entry.rec.status);
-      if (merger_) merger_->offer(entry.rec);
-    }
-    asg.led->writer.open(asg.journal, /*keep_existing=*/true);
   }
 
   void wait_for_events(Clock::time_point now) {
@@ -694,11 +681,12 @@ class Supervisor {
                         : seat.inflight;
   }
 
-  /// One shipped journal record: append-once (fsync before the ack, so an
-  /// acked record is durable), dedup retransmissions by grid index, and
-  /// feed the streaming merger. A status-disagreeing duplicate or a
-  /// record that contradicts the grid is a JournalConflictError — the
-  /// same trust model as the batch merge.
+  /// One shipped journal record, through the record table: a fresh one
+  /// is appended (fsync before the ack, so an acked record is durable)
+  /// and advances the stream; a retransmission is an agreeing duplicate
+  /// and is just acked again. A record of another campaign or one whose
+  /// status contradicts the recorded verdict is a JournalConflictError —
+  /// the same trust model as resume.
   void handle_journal_frame(Seat& seat, const std::string& payload) {
     std::size_t index = 0;
     std::string line;
@@ -708,28 +696,10 @@ class Supervisor {
         entry.rec.index != index) {
       return;  // no ack: the worker retransmits (or dies trying)
     }
-    if (index >= points_.size() || entry.seed != points_[index].seed) {
-      throw JournalConflictError(
-          "shard " + std::to_string(seat.asg.shard) +
-          " shipped a record that does not match this sweep (point " +
-          std::to_string(index) + "); refusing to mix campaigns");
-    }
-    PSYNC_CHECK(seat.asg.led != nullptr);
-    LeaderJournal& led = *seat.asg.led;
-    const auto it = led.status.find(index);
-    if (it != led.status.end()) {
-      if (it->second != entry.rec.status) {
-        throw JournalConflictError(
-            "point " + std::to_string(index) +
-            " shipped twice with disagreeing status (" +
-            std::string(driver::to_string(it->second)) + " vs " +
-            driver::to_string(entry.rec.status) + ")");
-      }
-      ++shipped_duplicates_;  // idempotent retransmission: ack again
-    } else {
-      led.writer.append(line);  // durable before the ack goes out
-      led.status.emplace(index, entry.rec.status);
-      if (merger_) merger_->offer(entry.rec);
+    if (table_.add(std::move(entry),
+                   "shard " + std::to_string(seat.asg.shard) + " record")) {
+      journal_.append(line);  // durable before the ack goes out
+      if (stream_) stream_->advance(table_);
     }
     if (seat.conn_fd >= 0) {
       (void)send_frame_fd(seat.conn_fd, Frame{FrameKind::kJournalAck,
@@ -859,9 +829,9 @@ class Supervisor {
                            WEXITSTATUS(wstatus) == kWorkerExitFenced);
     const std::vector<std::size_t> undone = undone_in(seat.asg);
 
-    if (seat.stealing) {
+    if (seat.reclaiming) {
       // Steal reclaim: however the victim died (graceful exit 4, or a
-      // crash racing the SIGTERM), its journal says what is left; split
+      // crash racing the SIGTERM), the table says what is left; split
       // that across the idle capacity. An ungraceful end is still an
       // incident worth recording.
       if (!graceful) {
@@ -871,7 +841,7 @@ class Supervisor {
       }
       repartition(seat, undone);
       seat.state = SeatState::kIdle;
-      seat.stealing = false;
+      seat.reclaiming = false;
       return;
     }
 
@@ -950,22 +920,17 @@ class Supervisor {
     }
   }
 
-  /// Grid indices in the assignment's window with no journaled record,
-  /// ascending. Unparseable journal lines never entered the status map,
-  /// so their points read as undone and re-run; the final merge still
-  /// applies the strict typed checks to every line.
+  /// Grid indices in the assignment's window with no record, ascending.
   std::vector<std::size_t> undone_in(const Assignment& asg) const {
     std::vector<std::size_t> undone;
     for (std::size_t i = asg.range.begin; i < asg.range.end; ++i) {
-      if (asg.led->status.count(i) == 0) undone.push_back(i);
+      if (!table_.has(i)) undone.push_back(i);
     }
     return undone;
   }
 
-  /// Split a reclaimed range across the idle capacity. Chunk 0 keeps the
-  /// original journal (resume skips everything already recorded); chunks
-  /// k >= 1 get fresh `.steal<k>` journals so every file has exactly one
-  /// sequence of owners.
+  /// Split a reclaimed range across the idle capacity. Chunk 0 inherits
+  /// the assignment's launch count; every other chunk is a steal.
   void repartition(Seat& seat, const std::vector<std::size_t>& undone) {
     if (undone.empty()) return;
     std::size_t idle = 0;
@@ -979,13 +944,8 @@ class Supervisor {
       asg.shard = seat.asg.shard;
       asg.range = chunks[c];
       if (c == 0) {
-        asg.journal = seat.asg.journal;
         asg.launches = seat.asg.launches;
-        asg.led = seat.asg.led;  // same file, same writer, same dedup map
       } else {
-        const std::size_t k = ++steal_counter_[seat.asg.shard];
-        asg.journal = shard_journal_path(opts_.journal_base, seat.asg.shard, k);
-        journal_paths_.push_back(asg.journal);
         ++steals_;
       }
       queue_.push_back(std::move(asg));
@@ -1000,21 +960,19 @@ class Supervisor {
 
   // --- final assembly --------------------------------------------------
 
+  /// The result is the record table. Points an abandoned shard never
+  /// recorded are filled in as failures — in the table, so the stream
+  /// carries them too, but not in the journal, so a resume retries them.
   driver::SweepResult assemble() {
-    // Release the leader-held journal writers (and their flocks) before
-    // the merge reads the files back.
-    for (auto& seat : seats_) {
-      if (seat.asg.led) seat.asg.led->writer.close();
-    }
-    MergedJournal merged =
-        merge_journals(points_, spec_.workload, journal_paths_);
-    if (!merged.missing.empty() && !gave_up_) {
+    journal_.close();
+    const std::size_t missing = points_.size() - table_.recorded();
+    if (missing > 0 && !gave_up_) {
       throw SimulationError(
-          "distributed sweep finished with " +
-          std::to_string(merged.missing.size()) +
+          "distributed sweep finished with " + std::to_string(missing) +
           " unrecorded point(s) but no abandoned shard — supervisor bug");
     }
-    for (const std::size_t idx : merged.missing) {
+    for (std::size_t idx = 0; idx < points_.size(); ++idx) {
+      if (table_.has(idx)) continue;
       driver::RunRecord rec;
       rec.index = idx;
       rec.workload = spec_.workload;
@@ -1023,12 +981,14 @@ class Supervisor {
       rec.failure = driver::PointFailure{
           driver::FailureKind::kWorkerCrash,
           "shard abandoned after exhausting worker restarts", 0};
-      merged.records[idx] = std::move(rec);
+      table_.add(std::move(rec));
     }
+    if (stream_) stream_->advance(table_);
     driver::SweepResult result;
     result.spec = spec_;
-    result.records = std::move(merged.records);
+    result.records = table_.take();
     result.campaign = driver::summarize_campaign(result.records);
+    result.campaign.resumed = resumed_;
     result.campaign.worker_restarts = restarts_;
     result.campaign.worker_steals = steals_;
     result.campaign.worker_reconnects = reconnects_;
@@ -1043,13 +1003,17 @@ class Supervisor {
   const WorkerBody& body_;
   const LaunchHook& hook_;
 
+  // --- the campaign's records and its one journal ----------------------
   std::vector<driver::RunPoint> points_;
+  driver::RecordTable table_;  // resumed + shipped records, first wins
+  JournalWriter journal_;      // every fresh record, fsync'd before ack
+  std::size_t resumed_ = 0;    // records replayed from the journal
+  std::optional<StreamingMerger> stream_;  // on_record prefix cursor
+
   std::vector<Seat> seats_;
   std::deque<Assignment> queue_;
-  std::vector<std::string> journal_paths_;
   std::size_t next_shard_id_ = 0;
-  std::map<std::size_t, std::size_t> steal_counter_;  // per original shard
-  std::map<std::size_t, std::size_t> crash_streak_;   // per grid index
+  std::map<std::size_t, std::size_t> crash_streak_;  // per grid index
   std::set<std::size_t> quarantine_;
   std::vector<driver::PointFailure> incidents_;
   std::uint64_t restarts_ = 0;
@@ -1066,10 +1030,6 @@ class Supervisor {
   std::vector<pid_t> orphans_;  // partitioned pids awaiting self-exit
   std::uint64_t reconnects_ = 0;
   std::uint64_t fenced_ = 0;
-  std::uint64_t shipped_duplicates_ = 0;
-
-  // --- streaming merge -------------------------------------------------
-  std::optional<StreamingMerger> merger_;
 };
 
 }  // namespace
@@ -1086,35 +1046,27 @@ driver::CampaignExecutor distributed_executor(SupervisorOptions opts) {
   return [opts](const driver::FrozenSpec& frozen,
                 driver::CampaignFeed& feed) -> driver::SweepResult {
     SupervisorOptions run_opts = opts;
-    if (run_opts.journal_base.empty()) {
-      if (!frozen.spec.journal_path.empty()) {
-        run_opts.journal_base = frozen.spec.journal_path + ".dist";
-      } else {
-        char hex[32];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(frozen.digest));
-        run_opts.journal_base = "/tmp/psync-dist-" + std::string(hex);
-      }
+    // A journal nobody named is scratch: it is removed once the run
+    // returns a result (a cancelled run keeps it, like any journal tail).
+    const bool scratch =
+        run_opts.journal_base.empty() && frozen.spec.journal_path.empty();
+    if (scratch) {
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(frozen.digest));
+      run_opts.journal_base = "/tmp/psync-dist-" + std::string(hex) + ".jsonl";
+    } else if (run_opts.journal_base.empty()) {
+      run_opts.journal_base = frozen.spec.journal_path;
     }
     run_opts.cancel = feed.token();
-    std::vector<char> streamed(frozen.points.size(), 0);
     const auto chained = run_opts.on_record;
-    run_opts.on_record = [&feed, &streamed, &chained](
-                             std::size_t index,
-                             const driver::RunRecord& rec) {
-      if (index < streamed.size()) streamed[index] = 1;
+    run_opts.on_record = [&feed, &chained](std::size_t index,
+                                           const driver::RunRecord& rec) {
       feed.emit(index, rec);
       if (chained) chained(index, rec);
     };
     driver::SweepResult result = run_distributed(frozen.spec, run_opts);
-    // Back-fill: records the stream never carried (e.g. the synthesized
-    // failures of an abandoned shard) so subscribers see every point
-    // exactly once.
-    for (std::size_t i = 0; i < result.records.size(); ++i) {
-      if (i >= streamed.size() || streamed[i] == 0) {
-        feed.emit(i, result.records[i]);
-      }
-    }
+    if (scratch) std::remove(run_opts.journal_base.c_str());
     return result;
   };
 }

@@ -1,34 +1,36 @@
 // The sweep leader: shards one ExperimentSpec grid across worker
 // *processes* and survives their deaths.
 //
-// Supervision model, in one paragraph: the grid is cut into contiguous
-// ranges (shard.hpp), each range is an *assignment* with its own
-// checkpoint journal, and `workers` process seats execute assignments.
-// Every worker talks to the leader over one frame protocol on its link
-// (transport.hpp): heartbeats (heartbeat.hpp) and each completed point's
-// journal record flow up, the leader appends the record to the shard
-// journal (fsync before ack — journal remains truth) and acks it. The
-// leader is the only journal writer. Silence longer than the liveness
-// timeout means the process is wedged and it is SIGKILLed. A dead or
-// wedged worker's assignment is relaunched in place with
-// decorrelated-jitter backoff, its window narrowed past what the journal
-// already holds, so only the points that were never durably recorded
-// re-run. A point that kills its
-// worker K launches in a row is quarantined — recorded as
-// kQuarantined/worker_crash — instead of being allowed to crash-loop the
-// sweep. When a seat runs out of work it steals: the straggler with the
-// most unfinished points is asked to stop (SIGTERM -> graceful exit), its
-// unfinished suffix is re-partitioned across the idle seats, and each
-// stolen chunk gets its own `.steal<k>` journal. At the end every journal
-// the run produced — including those left by SIGKILLed workers — is merged
-// (merge.hpp) into one grid-order SweepResult.
+// Supervision model, in one paragraph: the leader keeps one journal per
+// campaign, in the serial Session format, and one grid-indexed record
+// table (driver::RecordTable) that is both the journal's dedup rule and
+// the final result. On resume the journal is replayed into the table
+// first, exactly as Session::execute does, and only its gaps are cut into
+// contiguous ranges (shard.hpp) — *assignments* that `workers` process
+// seats execute. Every worker talks to the leader over one frame protocol
+// on its link (transport.hpp): heartbeats (heartbeat.hpp) and each
+// completed point's journal record flow up; a fresh record enters the
+// table, is appended to the journal (fsync before ack — journal remains
+// truth) and acked. The leader is the only journal writer. Silence longer
+// than the liveness timeout means the process is wedged and it is
+// SIGKILLed. A dead or wedged worker's assignment is relaunched in place
+// with decorrelated-jitter backoff, its window narrowed past what the
+// table already holds, so only the points that were never durably
+// recorded re-run. A point that kills its worker K launches in a row is
+// quarantined — recorded as kQuarantined/worker_crash — instead of being
+// allowed to crash-loop the sweep. When a seat runs out of work it
+// steals: the straggler with the most unfinished points is asked to stop
+// (SIGTERM -> graceful exit) and its unfinished suffix is re-partitioned
+// into ranges across the idle seats. At the end the table, in grid order,
+// is the SweepResult; a leader killed mid-run is resumed like a serial
+// run, from the same journal.
 //
 // Only connection setup depends on the transport. kPipe forks each
 // worker onto an inherited socketpair: connected from birth, no
 // handshake, and its hang-up means the process is exiting. kSocket
 // listens on TCP and workers dial back, which lets them run on other
-// hosts and reconnect; the leader dedups retransmissions by grid index
-// and *fences* zombie workers by lease epoch: every launch gets a fresh
+// hosts and reconnect; the table dedups retransmissions by grid index
+// and the leader *fences* zombie workers by lease epoch: every launch gets a fresh
 // epoch, the epoch is revoked when the leader moves on (relaunch after
 // connection loss, steal reclaim, exit), and a worker reconnecting with a
 // revoked epoch is refused before it can write a single record.
@@ -38,8 +40,8 @@
 // unreachable, not dead); its shard is relaunched and the fence keeps the
 // survivor out.
 //
-// Determinism: per-point seeds come from the global grid index and merged
-// records are journal round-trips, so the rendered JSON/CSV is
+// Determinism: per-point seeds come from the global grid index and the
+// table holds journal round-trips, so the rendered JSON/CSV is
 // byte-identical to a single-process serial run no matter how many workers
 // died along the way. All supervision accounting (restarts, steals,
 // reconnects, fences, incident list) lives in the non-serialized
@@ -75,12 +77,12 @@ struct SupervisorOptions {
   std::uint16_t listen_port = 0;
   std::string advertise_host;
 
-  /// Streaming merge sink: called with (index, record) in strictly
-  /// ascending grid order as completed points become contiguous
-  /// (stream_merge.hpp), while later shards still compute, fed straight
-  /// off the journal frames as the leader appends them. The final
-  /// SweepResult still comes from the end-of-run journal merge — this is
-  /// a live view, not a second truth.
+  /// Streaming sink: called with (index, record) in strictly ascending
+  /// grid order as recorded points become contiguous (stream_merge.hpp),
+  /// while later shards still compute — resumed records first, then
+  /// shipped ones as the leader appends them, then any failures filled in
+  /// for an abandoned shard. Every point is delivered exactly once, from
+  /// the same record table the final SweepResult comes from.
   std::function<void(std::size_t, const driver::RunRecord&)> on_record;
 
   /// Worker heartbeat interval; liveness timeout is
@@ -117,8 +119,11 @@ struct SupervisorOptions {
   /// How long a SIGTERMed straggler gets to flush and exit before SIGKILL.
   double term_grace_ms = 5000.0;
 
-  /// Shard journals are "<journal_base>.shard<i>[.steal<k>].jsonl"
-  /// (shard.hpp). Required — the journals *are* the crash-safety story.
+  /// The campaign's journal: journal_base itself when it ends in
+  /// ".jsonl", else journal_base + ".jsonl". Opened like Session opens
+  /// spec.journal_path: replayed and appended to when spec.resume is set,
+  /// truncated otherwise. Required — the journal *is* the crash-safety
+  /// story.
   std::string journal_base;
 
   /// SweepEngine threads inside each worker (default 1: ascending-order
@@ -145,10 +150,11 @@ using WorkerBody =
 /// chaos options for specific shards and generations. May be empty.
 using LaunchHook = std::function<void(WorkerConfig&)>;
 
-/// Execute `spec`'s sweep across worker processes and merge the shard
-/// journals into one grid-order SweepResult. Throws ConfigError for a
-/// missing journal_base, CancelledError on leader shutdown, and the merge
-/// layer's typed errors if the journals are corrupt or mismatched.
+/// Execute `spec`'s sweep across worker processes into one grid-order
+/// SweepResult. Throws ConfigError for a missing journal_base,
+/// CancelledError on leader shutdown, and the journal reader's typed
+/// errors (JournalCorruptError, JournalConflictError) — before any worker
+/// is forked — when a resumed journal is corrupt or another campaign's.
 driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
                                     const SupervisorOptions& opts,
                                     const WorkerBody& body = {},
@@ -157,13 +163,13 @@ driver::SweepResult run_distributed(const driver::ExperimentSpec& spec,
 /// Adapt run_distributed into a driver::CampaignExecutor, so a Session —
 /// and therefore the serve daemon — executes submitted campaigns across
 /// worker processes instead of an in-process thread pool. Per campaign:
-/// `opts.journal_base` defaults to "<spec.journal_path>.dist" (or a
-/// digest-named path under /tmp when the spec has no journal), the
-/// campaign's cancel token becomes the leader shutdown token, and the
-/// streaming merge feeds each contiguous record to the campaign's event
-/// stream while the sweep still runs — subscribers see partial results
-/// live. Records the stream never carried (abandoned-shard back-fill)
-/// are emitted after the merge, so every point is published exactly once.
+/// `opts.journal_base` defaults to the spec's own journal_path (resumed
+/// when spec.resume is set, as the serve daemon does), or to a
+/// digest-named scratch journal under /tmp that is removed once the run
+/// returns; the campaign's cancel token becomes the leader shutdown
+/// token, and the stream feeds each contiguous record to the campaign's
+/// events while the sweep still runs — subscribers see partial results
+/// live, every point exactly once.
 driver::CampaignExecutor distributed_executor(SupervisorOptions opts);
 
 }  // namespace psync::dist

@@ -3,8 +3,8 @@
 // Every worker speaks length-prefixed frames (frame.hpp) to its leader:
 // heartbeat lines flow up as heartbeat frames, and each completed point's
 // journal record is shipped as a journal frame that the leader appends to
-// the per-shard journal (fsync before the ack). The leader is the only
-// journal writer — journal-remains-truth, and the merge stays
+// the campaign's one journal (fsync before the ack). The leader is the
+// only journal writer — journal-remains-truth, and the output stays
 // crash-identical. Only connection setup differs:
 //
 //   inherited  TransportKind::kPipe. The leader makes a socketpair per

@@ -154,7 +154,7 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     HeartbeatEmitter emitter(&link, cfg.shard, cfg.heartbeat_ms);
     FaultHookObserver observer(&emitter, cfg);
 
-    // No local journal: the leader appends shipped records to the shard
+    // No local journal: the leader appends shipped records to the campaign
     // journal on its side of the link, and resumes a restarted shard by
     // narrowing cfg.range past what it already holds.
     spec.shard_begin = cfg.range.begin;
@@ -179,7 +179,7 @@ int run_worker(driver::ExperimentSpec spec, const WorkerConfig& cfg) {
     return link.dead() ? dead_link_exit(link) : kWorkerExitOk;
   } catch (const CancelledError&) {
     // A SIGTERMed straggler still owes the leader whatever it finished
-    // (a steal reclaim reads the journal to split the remainder).
+    // (a steal reclaim splits whatever the leader has not recorded).
     flush_unacked(&link, cfg.heartbeat_ms);
     return link.dead() ? dead_link_exit(link) : kWorkerExitCancelled;
   } catch (const std::exception& e) {

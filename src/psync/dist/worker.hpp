@@ -34,7 +34,8 @@ inline constexpr int kWorkerExitFenced = 5;
 inline constexpr int kWorkerExitInjectedCrash = 86;
 
 struct WorkerConfig {
-  /// Shard id (stable across restarts; steal chunks get fresh ids).
+  /// Shard id (stable across restarts; steal chunks keep their source
+  /// shard's id).
   std::size_t shard = 0;
   /// Restart generation: 0 on first launch, +1 per relaunch. Informational
   /// for launchers (e.g. "inject a fault only on generation 0").

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "psync/common/check.hpp"
+#include "psync/common/journal.hpp"
 #include "psync/common/json.hpp"
 #include "psync/core/trace.hpp"
 
@@ -343,6 +344,70 @@ bool parse_journal_line(const std::string& line, JournalEntry* out) {
   }
   *out = std::move(entry);
   return true;
+}
+
+RecordTable::RecordTable(const std::vector<RunPoint>& points,
+                         std::string workload)
+    : points_(&points),
+      workload_(std::move(workload)),
+      records_(points.size()),
+      present_(points.size(), 0) {}
+
+bool RecordTable::add(RunRecord rec) {
+  const std::size_t idx = rec.index;
+  if (idx >= records_.size()) {
+    throw JournalConflictError("record for point " + std::to_string(idx) +
+                               " lies outside this sweep's grid of " +
+                               std::to_string(records_.size()) +
+                               " point(s)");
+  }
+  if (present_[idx] != 0) {
+    // Wall-clock and retry counts may differ between two runs of one
+    // point; the verdict may not.
+    if (rec.status != records_[idx].status) {
+      throw JournalConflictError(
+          "point " + std::to_string(idx) + " recorded twice with " +
+          "conflicting status ('" + to_string(records_[idx].status) +
+          "' first, then '" + to_string(rec.status) + "')");
+    }
+    ++duplicates_;
+    return false;
+  }
+  records_[idx] = std::move(rec);
+  present_[idx] = 1;
+  ++recorded_;
+  return true;
+}
+
+bool RecordTable::add(JournalEntry entry, const std::string& origin) {
+  const std::size_t idx = entry.rec.index;
+  if (idx >= points_->size() || entry.seed != (*points_)[idx].seed ||
+      entry.rec.workload != workload_ ||
+      (entry.point_digest != 0 &&
+       entry.point_digest != (*points_)[idx].digest)) {
+    throw JournalConflictError(
+        origin + " does not match this sweep (point " + std::to_string(idx) +
+        "); refusing to mix campaigns");
+  }
+  try {
+    return add(std::move(entry.rec));
+  } catch (const JournalConflictError& e) {
+    throw JournalConflictError(origin + ": " + e.what());
+  }
+}
+
+std::vector<std::size_t> RecordTable::replay(const std::string& path) {
+  std::vector<std::size_t> fresh;
+  const std::string origin = "checkpoint journal '" + path + "'";
+  for (const auto& line : read_journal_lines(path)) {
+    JournalEntry entry;
+    if (!parse_journal_line(line, &entry)) {
+      throw JournalCorruptError("corrupt line in " + origin);
+    }
+    const std::size_t idx = entry.rec.index;
+    if (add(std::move(entry), origin)) fresh.push_back(idx);
+  }
+  return fresh;
 }
 
 }  // namespace psync::driver

@@ -1,5 +1,5 @@
 // The campaign layer: what turns a sweep into a crash-safe experiment
-// campaign. Three pieces, all beneath Runner::run:
+// campaign. Four pieces, all beneath Runner::run:
 //
 //   * PointGuard — per-point isolation. Runs one grid point, converts
 //     whatever it throws into a structured PointFailure (the FailureKind
@@ -16,6 +16,10 @@
 //     serializers' precision(12) reproduces the original bytes exactly:
 //     kill -9 mid-sweep + --resume yields byte-identical JSON/CSV to an
 //     uninterrupted run.
+//
+//   * RecordTable — the grid-indexed record set with the one duplicate
+//     rule, and the one journal reader (replay) that serial resume and
+//     the distributed leader share.
 //
 //   * CampaignReport — the failed/quarantined/retried accounting the
 //     serializers surface (schema_version 3) and psync_sim's --strict
@@ -151,5 +155,60 @@ std::string journal_line(const RunRecord& rec, std::uint64_t seed,
 /// strict prefix of a valid line fails, which is what makes torn tails
 /// safe to drop.
 bool parse_journal_line(const std::string& line, JournalEntry* out);
+
+/// A campaign's grid-indexed record set, and the one duplicate rule every
+/// journal reader and writer applies to it: the first record for an index
+/// wins; a later one that agrees on status is a re-derivation of the same
+/// deterministic point (a retransmitted frame, a straggler that finished a
+/// point after its range was stolen) and is counted; one that disagrees is
+/// a JournalConflictError — two verdicts for one point mean the records are
+/// not what they claim to be, and picking either would be a silent guess.
+class RecordTable {
+ public:
+  /// `points` (non-owning; must outlive the table) is the expanded grid of
+  /// a `workload` sweep.
+  RecordTable(const std::vector<RunPoint>& points, std::string workload);
+
+  /// Record `rec` under rec.index. True when fresh, false for an agreeing
+  /// duplicate; JournalConflictError for an out-of-grid index or a
+  /// disagreeing duplicate.
+  bool add(RunRecord rec);
+
+  /// add() a parsed journal entry after checking it belongs to this sweep:
+  /// in-grid index, the point's seed, the workload and — when the line
+  /// carries one — the point's content digest. A mismatch (the line is
+  /// another campaign's) or a disagreeing duplicate is a
+  /// JournalConflictError naming `origin`.
+  bool add(JournalEntry entry, const std::string& origin);
+
+  /// Replay checkpoint journal `path` through add(): a missing file reads
+  /// as empty and a torn final line (kill -9 mid-append) is dropped, but
+  /// any other unparseable line is a JournalCorruptError. Returns the
+  /// indices that were fresh, in line order.
+  std::vector<std::size_t> replay(const std::string& path);
+
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] bool has(std::size_t index) const {
+    return present_[index] != 0;
+  }
+  [[nodiscard]] const RunRecord& operator[](std::size_t index) const {
+    return records_[index];
+  }
+  /// present()[i] is 1 once index i is recorded, 0 while it is a gap.
+  [[nodiscard]] const std::vector<char>& present() const { return present_; }
+  [[nodiscard]] std::size_t recorded() const { return recorded_; }
+  [[nodiscard]] std::size_t duplicates() const { return duplicates_; }
+
+  /// Move the grid-ordered records out; gaps are default-empty records.
+  std::vector<RunRecord> take() { return std::move(records_); }
+
+ private:
+  const std::vector<RunPoint>* points_;
+  std::string workload_;
+  std::vector<RunRecord> records_;
+  std::vector<char> present_;
+  std::size_t recorded_ = 0;
+  std::size_t duplicates_ = 0;
+};
 
 }  // namespace psync::driver

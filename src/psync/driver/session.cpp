@@ -247,7 +247,6 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   const std::vector<RunPoint>& points = frozen.points;
   SweepResult result;
   result.spec = spec;
-  result.records.resize(points.size());
 
   // Shard window: only [begin, end) of the grid is this run's to execute.
   // Seeds/knobs/digests were derived from global indices during expansion,
@@ -257,42 +256,19 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   const std::size_t end = std::min(spec.shard_end, points.size());
   PSYNC_CHECK(begin <= end);
 
-  // Resume: reconstitute journaled points into their grid slots. Every
-  // entry must match this sweep (grid bounds, point seed, workload, and —
-  // when the line carries one — the point's content digest) or the journal
-  // belongs to a different campaign: fail loudly rather than mix results.
-  // Entries *outside* the shard window are still validated and spliced (a
-  // replacement worker may inherit a journal whose range was since
-  // re-partitioned), they just don't count toward this run's campaign.
-  // read_journal_lines already dropped a torn final line (kill -9
-  // mid-append); a malformed line elsewhere means the file is not ours.
-  std::vector<char> done(points.size(), 0);
+  // Resume: reconstitute journaled points into their grid slots through
+  // the one journal reader (RecordTable::replay), which refuses lines of
+  // another campaign and contradictory duplicates. Entries *outside* the
+  // shard window are still validated and spliced, they just don't count
+  // toward this run's campaign.
+  RecordTable table(points, spec.workload);
   std::size_t resumed = 0;
   if (spec.resume) {
     PSYNC_CHECK(!spec.journal_path.empty());  // rejected by freeze()
-    for (const auto& line : read_journal_lines(spec.journal_path)) {
-      JournalEntry entry;
-      if (!parse_journal_line(line, &entry)) {
-        throw JournalCorruptError("corrupt checkpoint journal line in '" +
-                                  spec.journal_path + "'");
-      }
-      const std::size_t idx = entry.rec.index;
-      if (idx >= points.size() || entry.seed != points[idx].seed ||
-          entry.rec.workload != spec.workload ||
-          (entry.point_digest != 0 &&
-           entry.point_digest != points[idx].digest)) {
-        throw JournalConflictError(
-            "checkpoint journal '" + spec.journal_path +
-            "' does not match this sweep (point " + std::to_string(idx) +
-            "); refusing to mix campaigns");
-      }
-      const bool fresh = done[idx] == 0 && idx >= begin && idx < end;
-      if (fresh) {
-        ++resumed;
-        note_point(c, idx, entry.rec, CampaignEvent::Source::kResume);
-      }
-      result.records[idx] = std::move(entry.rec);
-      done[idx] = 1;
+    for (const std::size_t idx : table.replay(spec.journal_path)) {
+      if (idx < begin || idx >= end) continue;
+      ++resumed;
+      note_point(c, idx, table[idx], CampaignEvent::Source::kResume);
     }
   }
 
@@ -302,9 +278,9 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   }
 
   // Leader-quarantined points: record the verdict without executing, and
-  // journal it so a resume or a shard merge sees the same story.
+  // journal it so a resume sees the same story.
   for (const std::size_t idx : spec.quarantine_indices) {
-    if (idx < begin || idx >= end || done[idx] != 0) continue;
+    if (idx < begin || idx >= end || table.has(idx)) continue;
     RunRecord rec;
     rec.index = idx;
     rec.workload = spec.workload;
@@ -319,8 +295,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
       journal.append(journal_line(rec, points[idx].seed, points[idx].digest));
     }
     note_point(c, idx, rec, CampaignEvent::Source::kRun);
-    result.records[idx] = std::move(rec);
-    done[idx] = 1;
+    table.add(std::move(rec));
   }
 
   // Cache splice: ask the PointCache for every still-pending point before
@@ -331,7 +306,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   std::size_t cache_hits = 0;
   if (cache != nullptr) {
     for (std::size_t i = begin; i < end; ++i) {
-      if (done[i] != 0) continue;
+      if (table.has(i)) continue;
       RunRecord rec;
       if (!cache->lookup(points[i].digest, points[i].seed, &rec)) continue;
       rec.index = i;  // same content can sit at another grid's index
@@ -340,14 +315,13 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
       }
       ++cache_hits;
       note_point(c, i, rec, CampaignEvent::Source::kCache);
-      result.records[i] = std::move(rec);
-      done[i] = 1;
+      table.add(std::move(rec));
     }
   }
 
   std::vector<std::size_t> pending;
   for (std::size_t i = begin; i < end; ++i) {
-    if (done[i] == 0) pending.push_back(i);
+    if (!table.has(i)) pending.push_back(i);
   }
 
   const PointGuard guard(spec.guard);
@@ -355,7 +329,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   engine.map(pending, [&](const std::size_t i) {
     // Shutdown check: once the campaign token fires (handle.cancel(), the
     // spec's parent token, or both), unstarted points stay unstarted (and
-    // unrecorded) — completion is tracked via done[] so the run is
+    // unrecorded) — completion is tracked by the table so the run is
     // reported cancelled, not silently short.
     if (c->token.cancelled()) return 0;
     if (spec.observer != nullptr) spec.observer->on_point_start(i);
@@ -384,8 +358,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
     c->events.push_back(std::move(ev));
     ++c->progress.completed;
     ++c->progress.executed;
-    result.records[i] = std::move(rec);
-    done[i] = 1;
+    table.add(std::move(rec));
     if (spec.observer != nullptr) spec.observer->on_point_done(i, status);
     c->cv.notify_all();
     return 0;
@@ -394,7 +367,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   if (c->token.cancelled()) {
     std::size_t remaining = 0;
     for (const std::size_t i : pending) {
-      if (done[i] == 0) ++remaining;
+      if (!table.has(i)) ++remaining;
     }
     if (remaining > 0) {
       throw CancelledError("sweep cancelled with " +
@@ -403,6 +376,7 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
     }
   }
 
+  result.records = table.take();
   result.campaign = summarize_campaign(result.records, begin, end);
   result.campaign.resumed = resumed;
   result.campaign.cache_hits = cache_hits;

@@ -207,7 +207,8 @@ class Session {
     PointCache* cache = nullptr;
     /// Optional execution backend; empty runs the built-in in-process
     /// path. The cache is not consulted when an executor is set — the
-    /// backend owns its own resume/dedup story (e.g. shard journals).
+    /// backend owns its own resume/dedup story (e.g. the dist leader's
+    /// journal replay).
     CampaignExecutor executor;
   };
 

@@ -33,8 +33,8 @@ constexpr std::array<const char*, 7> kOrderSensitive = {
     "src/psync/core/trace",        // event traces compared byte-for-byte
     "src/psync/common/csv",        // CSV emission order is the contract
     "src/psync/common/journal",    // journal replay order is the contract
-    "src/psync/dist/merge",        // crash-identical merge
-    "src/psync/dist/stream_merge", // crash-identical streaming merge
+    "src/psync/driver/campaign",   // journal codec + record table
+    "src/psync/dist/stream_merge", // grid-order record stream
     "src/psync/serve/cache",       // content-addressed result index
 };
 

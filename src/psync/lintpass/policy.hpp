@@ -3,8 +3,8 @@
 // hash-ordered containers are legitimate.
 //
 // Paths are repo-relative with forward slashes. Matching is by prefix, so
-// "src/psync/perf/" covers the whole module and "src/psync/dist/merge"
-// covers merge.hpp/merge.cpp. The allowlists are part of the reviewed
+// "src/psync/perf/" covers the whole module and "src/psync/dist/stream_merge"
+// covers stream_merge.hpp. The allowlists are part of the reviewed
 // policy: widening one is a diff on this file, not a scattering of inline
 // suppressions.
 #pragma once
@@ -31,7 +31,8 @@ struct Policy {
 
   /// Serialization-order-sensitive modules where unordered containers
   /// need an audited suppression: canonical JSON, traces, CSV/journal
-  /// writers, the dist merge, and the serve result cache.
+  /// writers, the journal record table, the dist record stream, and the
+  /// serve result cache.
   [[nodiscard]] bool order_sensitive(const std::string& rel_path) const;
 
   /// Durability paths where an assert() side effect would vanish under

@@ -47,9 +47,9 @@ void Server::start() {
   if (opts_.dist_workers > 0) {
     dist::SupervisorOptions dopts;
     dopts.workers = opts_.dist_workers;
-    // journal_base stays empty: the executor derives it per campaign from
-    // the spec's (cache-directory) journal path, so shard journals land
-    // next to the campaign's own journal and resume across restarts.
+    // journal_base stays empty: the executor journals each campaign into
+    // the spec's own (cache-directory) journal, which resumes across
+    // restarts.
     sopts.executor = dist::distributed_executor(dopts);
   }
   session_ = driver::Session(sopts);

@@ -58,9 +58,9 @@ struct ServerOptions {
   /// (dist::distributed_executor) instead of the in-process thread pool;
   /// 0 keeps the in-process path. Each worker ships its records to the
   /// daemon as frames over an inherited socketpair, and the daemon writes
-  /// the shard journals (under "<cache journal>.dist.*"), which own
-  /// resume in this mode — the PointCache is not consulted. The streaming
-  /// merge feeds subscribe frames while shards still compute.
+  /// them to the campaign's own cache journal, which owns resume in this
+  /// mode — the PointCache is not consulted. The leader's record stream
+  /// feeds subscribe frames while shards still compute.
   std::size_t dist_workers = 0;
 };
 

@@ -1,5 +1,5 @@
 // Fixture: an unordered container in an order-sensitive module (the test
-// lints this under a pretend dist/merge path) must fire det-unordered.
+// lints this under a pretend dist/stream_merge path) must fire det-unordered.
 #include <cstdint>
 #include <string>
 #include <unordered_map>

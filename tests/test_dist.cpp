@@ -1,23 +1,30 @@
 // Distributed sweeps (src/psync/dist): shard planning, the heartbeat wire
-// codec, flock journal ownership, the crash-identical journal merge, the
-// Runner's shard window, the worker entry point on an inherited link, and
-// full leader/worker supervision — worker crash restart, wedge detection
-// via heartbeat liveness, crash-loop quarantine, and work stealing — all
-// asserted against the tentpole invariant: the merged output is
-// byte-identical to a single-process run.
+// codec, flock journal ownership, the one journal reader
+// (driver::RecordTable) every resume goes through, the Runner's shard
+// window, the worker entry point on an inherited link, and full
+// leader/worker supervision — worker crash restart, wedge detection via
+// heartbeat liveness, crash-loop quarantine, work stealing and leader
+// resume — all asserted against the tentpole invariants: the output is
+// byte-identical to a single-process run, and the leader leaves exactly
+// one journal, in the serial format, that a serial resume reproduces.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <csignal>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,11 +33,11 @@
 #include "psync/common/journal.hpp"
 #include "psync/dist/frame.hpp"
 #include "psync/dist/heartbeat.hpp"
-#include "psync/dist/merge.hpp"
 #include "psync/dist/shard.hpp"
 #include "psync/dist/supervisor.hpp"
 #include "psync/dist/worker.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/session.hpp"
 
 namespace psync::dist {
 namespace {
@@ -43,11 +50,33 @@ using driver::RunRecord;
 using driver::Runner;
 using driver::SweepEngine;
 
-/// Unique per test-process journal base: a stale journal from an earlier
-/// run would otherwise be resumed (that's the feature) and poison a test.
+/// Unique per test-process path: concurrent test processes never share a
+/// journal (or its flock).
 std::string fresh_base(const std::string& name) {
   return testing::TempDir() + "psync_dist_" + std::to_string(::getpid()) +
          "_" + name;
+}
+
+/// A fresh, empty directory of its own, for tests that assert on every
+/// file the leader leaves behind.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = fresh_base(name);
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
+}
+
+/// Every entry of `dir` but "." and "..", sorted.
+std::vector<std::string> dir_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const dirent* ent = ::readdir(d)) {
+    const std::string name = ent->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -105,11 +134,46 @@ SupervisorOptions fast_opts(const std::string& base, std::size_t workers) {
   return opts;
 }
 
+/// The leader's journal contract, checked after a run journaled to
+/// "<dir>/sweep": `dir` holds exactly one file, sweep.jsonl, in the serial
+/// format with one line per grid point, and a serial Session resume over
+/// it executes nothing and renders the bytes `dist` rendered.
+void expect_one_serial_journal(const std::string& dir,
+                               const ExperimentSpec& spec,
+                               const driver::SweepResult& dist) {
+  ASSERT_EQ(dir_entries(dir), std::vector<std::string>{"sweep.jsonl"});
+  const std::string path = dir + "/sweep.jsonl";
+  std::set<std::size_t> indices;
+  for (const auto& line : read_journal_lines(path)) {
+    driver::JournalEntry entry;
+    ASSERT_TRUE(driver::parse_journal_line(line, &entry)) << line;
+    EXPECT_TRUE(indices.insert(entry.rec.index).second)
+        << "point " << entry.rec.index << " journaled twice";
+  }
+  EXPECT_EQ(indices.size(), dist.records.size());
+
+  ExperimentSpec resume = spec;
+  resume.journal_path = path;
+  resume.resume = true;
+  driver::Session session;
+  auto handle = session.submit(resume);
+  const driver::SweepResult serial = handle.take();
+  EXPECT_EQ(handle.progress().executed, 0u);
+  EXPECT_EQ(serial.campaign.resumed, dist.records.size());
+  EXPECT_EQ(driver::sweep_json(serial), driver::sweep_json(dist));
+  EXPECT_EQ(driver::sweep_csv(serial), driver::sweep_csv(dist));
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Shard planning
 
+/// A grid of `n` points with nothing recorded yet.
+std::vector<char> fresh_grid(std::size_t n) { return std::vector<char>(n, 0); }
+
 TEST(ShardPlan, BalancedContiguousGapFreeCover) {
-  const auto shards = plan_shards(10, 3);
+  const auto shards = plan_shards(fresh_grid(10), 3);
   ASSERT_EQ(shards.size(), 3u);
   EXPECT_EQ(shards[0].begin, 0u);
   EXPECT_EQ(shards[0].end, 4u);  // 10 % 3 extra point goes first
@@ -120,7 +184,7 @@ TEST(ShardPlan, BalancedContiguousGapFreeCover) {
 }
 
 TEST(ShardPlan, MoreWorkersThanPointsYieldsSingletons) {
-  const auto shards = plan_shards(3, 8);
+  const auto shards = plan_shards(fresh_grid(3), 8);
   ASSERT_EQ(shards.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(shards[i].begin, i);
@@ -129,10 +193,34 @@ TEST(ShardPlan, MoreWorkersThanPointsYieldsSingletons) {
 }
 
 TEST(ShardPlan, EdgeCases) {
-  EXPECT_TRUE(plan_shards(0, 4).empty());
-  const auto zero_workers = plan_shards(5, 0);  // treated as one worker
+  EXPECT_TRUE(plan_shards(fresh_grid(0), 4).empty());
+  const auto zero_workers = plan_shards(fresh_grid(5), 0);  // as one worker
   ASSERT_EQ(zero_workers.size(), 1u);
   EXPECT_EQ(zero_workers[0].size(), 5u);
+  EXPECT_TRUE(plan_shards(std::vector<char>(5, 1), 3).empty());  // all done
+}
+
+TEST(ShardPlan, OnlyTheGapsArePlanned) {
+  // Recorded: 0, 1, 4, 9. Gaps [2,4), [5,9), [10,12) share 3 workers by
+  // length (2/8, 4/8, 2/8 of them, rounded up); no recorded index is in
+  // any shard and every gap index is in exactly one.
+  std::vector<char> recorded = fresh_grid(12);
+  for (const std::size_t i : {0, 1, 4, 9}) recorded[i] = 1;
+  const auto shards = plan_shards(recorded, 3);
+  const std::vector<std::pair<std::size_t, std::size_t>> want = {
+      {2, 4}, {5, 7}, {7, 9}, {10, 12}};
+  ASSERT_EQ(shards.size(), want.size());
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(shards[s].begin, want[s].first) << "shard " << s;
+    EXPECT_EQ(shards[s].end, want[s].second) << "shard " << s;
+  }
+  std::vector<int> covered(12, 0);
+  for (const auto& shard : shards) {
+    for (std::size_t i = shard.begin; i < shard.end; ++i) ++covered[i];
+  }
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(covered[i], recorded[i] != 0 ? 0 : 1) << "index " << i;
+  }
 }
 
 TEST(ShardPlan, SplitRangePreservesWindow) {
@@ -144,12 +232,6 @@ TEST(ShardPlan, SplitRangePreservesWindow) {
     EXPECT_EQ(chunks[i].begin, chunks[i - 1].end);  // gap-free
     EXPECT_GE(chunks[i - 1].size(), chunks[i].size());
   }
-}
-
-TEST(ShardPlan, JournalNaming) {
-  EXPECT_EQ(shard_journal_path("/tmp/base", 2), "/tmp/base.shard2.jsonl");
-  EXPECT_EQ(shard_journal_path("/tmp/base", 2, 3),
-            "/tmp/base.shard2.steal3.jsonl");
 }
 
 // ---------------------------------------------------------------------------
@@ -218,56 +300,62 @@ TEST(JournalLock, BusyIsASimulationErrorSubtype) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal merge
+// The one journal reader: RecordTable::replay, behind Session resume and
+// the distributed leader's resume alike
 
-/// A complete shard journal file for `range`, built from a serial run.
-void write_journal_for(const ExperimentSpec& spec, const ShardRange& range,
-                       const std::string& path) {
-  ExperimentSpec shard = spec;
-  shard.shard_begin = range.begin;
-  shard.shard_end = range.end;
-  shard.journal_path = path;
-  (void)Runner::run(shard);
+/// The lines of a complete serial journal of `spec`'s grid.
+std::vector<std::string> serial_journal_lines(const ExperimentSpec& spec,
+                                              const std::string& path) {
+  ExperimentSpec journaled = spec;
+  journaled.journal_path = path;
+  (void)Runner::run(journaled);
+  return read_journal_lines(path);
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& line : lines) out += line + "\n";
+  return out;
 }
 
 TEST(Merge, ReassemblesInterleavedShardsInGridOrder) {
+  // Shards append to one journal in whatever order their points finish:
+  // any shuffle of the lines replays to the same grid-order table.
   const auto spec = make_spec(uniform(9, 0.0));
   const auto points = SweepEngine::expand(spec);
-  const std::string base = fresh_base("merge");
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < 3; ++s) {
-    paths.push_back(shard_journal_path(base, s));
-    write_journal_for(spec, {s * 3, s * 3 + 3}, paths.back());
-  }
-  const MergedJournal merged = merge_journals(points, "dist_test", paths);
-  EXPECT_TRUE(merged.missing.empty());
-  EXPECT_EQ(merged.duplicates, 0u);
+  const std::string path = fresh_base("merge.jsonl");
+  auto lines = serial_journal_lines(spec, path);
+  std::mt19937_64 rng(9);
+  std::shuffle(lines.begin(), lines.end(), rng);
+  write_file(path, joined(lines));
+  driver::RecordTable table(points, "dist_test");
+  EXPECT_EQ(table.replay(path).size(), 9u);
+  EXPECT_EQ(table.recorded(), 9u);
+  EXPECT_EQ(table.duplicates(), 0u);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(merged.records[i].index, i);
-    EXPECT_EQ(merged.records[i].status, PointStatus::kOk);
+    ASSERT_TRUE(table.has(i));
+    EXPECT_EQ(table[i].index, i);
+    EXPECT_EQ(table[i].status, PointStatus::kOk);
   }
-  for (const auto& p : paths) std::remove(p.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(Merge, AgreeingDuplicatesAreDedupedFirstWins) {
   const auto spec = make_spec(uniform(4, 0.0));
   const auto points = SweepEngine::expand(spec);
-  const std::string base = fresh_base("dup");
-  const std::string a = shard_journal_path(base, 0);
-  const std::string b = shard_journal_path(base, 0, 1);
-  write_journal_for(spec, {0, 4}, a);
-  write_journal_for(spec, {2, 4}, b);  // overlaps points 2, 3
-  const MergedJournal merged = merge_journals(points, "dist_test", {a, b});
-  EXPECT_TRUE(merged.missing.empty());
-  EXPECT_EQ(merged.duplicates, 2u);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
+  const std::string path = fresh_base("dup.jsonl");
+  auto lines = serial_journal_lines(spec, path);
+  lines.push_back(lines[2]);  // a straggler and its thief both recorded
+  lines.push_back(lines[3]);  // points 2 and 3
+  write_file(path, joined(lines));
+  driver::RecordTable table(points, "dist_test");
+  EXPECT_EQ(table.replay(path), (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(table.duplicates(), 2u);
+  std::remove(path.c_str());
 }
 
-TEST(Merge, ConflictingDuplicateStatusIsATypedError) {
-  const auto spec = make_spec(uniform(2, 0.0));
-  const auto points = SweepEngine::expand(spec);
-  const std::string base = fresh_base("conflict");
+/// Two records for point 1 of a 2-point dist_test grid: ok, then failed.
+std::string conflicting_lines(const std::vector<RunPoint>& points) {
   RunRecord ok;
   ok.index = 1;
   ok.workload = "dist_test";
@@ -277,30 +365,51 @@ TEST(Merge, ConflictingDuplicateStatusIsATypedError) {
   failed.metrics.clear();
   failed.failure =
       driver::PointFailure{FailureKind::kInternalError, "boom", 1};
-  const std::string a = base + ".a.jsonl";
-  const std::string b = base + ".b.jsonl";
-  write_file(a, driver::journal_line(ok, points[1].seed) + "\n");
-  write_file(b, driver::journal_line(failed, points[1].seed) + "\n");
-  EXPECT_THROW(merge_journals(points, "dist_test", {a, b}),
-               JournalConflictError);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
+  return driver::journal_line(ok, points[1].seed) + "\n" +
+         driver::journal_line(failed, points[1].seed) + "\n";
+}
+
+TEST(Merge, ConflictingDuplicateStatusIsATypedError) {
+  const auto spec = make_spec(uniform(2, 0.0));
+  const auto points = SweepEngine::expand(spec);
+  const std::string path = fresh_base("conflict.jsonl");
+  write_file(path, conflicting_lines(points));
+  driver::RecordTable table(points, "dist_test");
+  EXPECT_THROW(table.replay(path), JournalConflictError);
+  std::remove(path.c_str());
+}
+
+TEST(Merge, SessionResumeRefusesADisagreeingDuplicate) {
+  // Serial resume reads through the same reader: two verdicts for one
+  // point are a typed error, not "the last line wins".
+  auto spec = make_spec(uniform(2, 0.0));
+  const auto points = SweepEngine::expand(spec);
+  spec.journal_path = fresh_base("session_conflict.jsonl");
+  spec.resume = true;
+  write_file(spec.journal_path, conflicting_lines(points));
+  EXPECT_THROW(Runner::run(spec), JournalConflictError);
+  std::remove(spec.journal_path.c_str());
 }
 
 TEST(Merge, OutOfGridAndMismatchedCampaignsAreTypedErrors) {
   const auto spec = make_spec(uniform(2, 0.0));
   const auto points = SweepEngine::expand(spec);
   const std::string path = fresh_base("alien.jsonl");
+  const auto refused = [&](const RunRecord& rec, std::uint64_t seed,
+                           std::uint64_t digest) {
+    write_file(path, driver::journal_line(rec, seed, digest) + "\n");
+    driver::RecordTable table(points, "dist_test");
+    EXPECT_THROW(table.replay(path), JournalConflictError);
+  };
   RunRecord rec;
   rec.index = 99;  // outside the 2-point grid
   rec.workload = "dist_test";
-  write_file(path, driver::journal_line(rec, 1) + "\n");
-  EXPECT_THROW(merge_journals(points, "dist_test", {path}),
-               JournalConflictError);
-  rec.index = 0;  // in grid, wrong seed
-  write_file(path, driver::journal_line(rec, points[0].seed + 1) + "\n");
-  EXPECT_THROW(merge_journals(points, "dist_test", {path}),
-               JournalConflictError);
+  refused(rec, 1, 0);
+  rec.index = 0;
+  refused(rec, points[0].seed + 1, 0);                  // wrong seed
+  refused(rec, points[0].seed, points[0].digest + 1);   // wrong content
+  rec.workload = "other";
+  refused(rec, points[0].seed, 0);                      // wrong workload
   std::remove(path.c_str());
 }
 
@@ -309,21 +418,24 @@ TEST(Merge, CorruptLineIsATypedError) {
   const auto points = SweepEngine::expand(spec);
   const std::string path = fresh_base("corrupt.jsonl");
   write_file(path, "{not a journal line}\n");
-  EXPECT_THROW(merge_journals(points, "dist_test", {path}),
-               JournalCorruptError);
+  driver::RecordTable table(points, "dist_test");
+  EXPECT_THROW(table.replay(path), JournalCorruptError);
   std::remove(path.c_str());
 }
 
 TEST(Merge, MissingFilesAndPointsAreReportedNotInvented) {
   const auto spec = make_spec(uniform(6, 0.0));
   const auto points = SweepEngine::expand(spec);
-  const std::string base = fresh_base("sparse");
-  const std::string have = shard_journal_path(base, 0);
-  write_journal_for(spec, {0, 3}, have);
-  const MergedJournal merged = merge_journals(
-      points, "dist_test", {have, shard_journal_path(base, 1)});
-  EXPECT_EQ(merged.missing, (std::vector<std::size_t>{3, 4, 5}));
-  std::remove(have.c_str());
+  driver::RecordTable table(points, "dist_test");
+  EXPECT_TRUE(table.replay(fresh_base("absent.jsonl")).empty());
+  const std::string path = fresh_base("sparse.jsonl");
+  auto lines = serial_journal_lines(spec, path);
+  lines.resize(3);
+  write_file(path, joined(lines));
+  EXPECT_EQ(table.replay(path), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(table.present(), (std::vector<char>{1, 1, 1, 0, 0, 0}));
+  EXPECT_TRUE(table[4].metrics.empty());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +514,7 @@ TEST(Distributed, AlreadyCancelledLeaderThrowsCancelled) {
 TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
   const auto spec = make_spec(uniform(12, 1.0));
   const auto serial = Runner::run(spec);
-  const std::string base = fresh_base("crash");
+  const std::string dir = fresh_dir("crash");
   // First launch of shard 1 dies mid-shard with a hard _exit (no unwind,
   // no journal flush beyond completed points) — the SIGKILL shape.
   const LaunchHook hook = [](WorkerConfig& cfg) {
@@ -410,7 +522,7 @@ TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
       cfg.crash_on_index = static_cast<std::int64_t>(cfg.range.begin + 1);
     }
   };
-  auto opts = fast_opts(base, 3);
+  auto opts = fast_opts(dir + "/sweep", 3);
   // No stealing: if the other seats go idle before the crash is reaped
   // they would reclaim the dying shard as a steal, and this test is about
   // the restart path specifically (stealing has its own test).
@@ -424,13 +536,14 @@ TEST(Distributed, CrashedWorkerIsRestartedAndOutputIsIdentical) {
     crash_incident |= incident.kind == FailureKind::kInternalError;
   }
   EXPECT_TRUE(crash_incident);
+  expect_one_serial_journal(dir, spec, dist);
 }
 
 TEST(Distributed, WedgedWorkerIsKilledByLivenessAndOutputIsIdentical) {
   const auto spec = make_spec(uniform(8, 1.0));
   const auto serial = Runner::run(spec);
-  const std::string base = fresh_base("wedge");
-  auto opts = fast_opts(base, 2);
+  const std::string dir = fresh_dir("wedge");
+  auto opts = fast_opts(dir + "/sweep", 2);
   opts.heartbeat_ms = 10.0;
   opts.liveness_factor = 8.0;  // 80 ms of silence = wedged
   opts.term_grace_ms = 200.0;
@@ -452,12 +565,13 @@ TEST(Distributed, WedgedWorkerIsKilledByLivenessAndOutputIsIdentical) {
     wedge_incident |= incident.kind == FailureKind::kTimeout;
   }
   EXPECT_TRUE(wedge_incident) << "liveness timeout should be in the taxonomy";
+  expect_one_serial_journal(dir, spec, dist);
 }
 
 TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
   const auto spec = make_spec(uniform(9, 0.0));
-  const std::string base = fresh_base("quarantine");
-  auto opts = fast_opts(base, 3);
+  const std::string dir = fresh_dir("quarantine");
+  auto opts = fast_opts(dir + "/sweep", 3);
   opts.crash_quarantine_after = 2;
   // Point 4 kills its worker on every launch, forever.
   const LaunchHook hook = [](WorkerConfig& cfg) {
@@ -475,6 +589,7 @@ TEST(Distributed, CrashLoopingPointIsQuarantinedNotFatal) {
     quarantine_incident |= incident.kind == FailureKind::kWorkerCrash;
   }
   EXPECT_TRUE(quarantine_incident);
+  expect_one_serial_journal(dir, spec, dist);
 }
 
 TEST(Distributed, IdleWorkersStealFromStragglersAndOutputIsIdentical) {
@@ -485,13 +600,94 @@ TEST(Distributed, IdleWorkersStealFromStragglersAndOutputIsIdentical) {
   tp.insert(tp.end(), slow.begin(), slow.end());
   const auto spec = make_spec(std::move(tp));
   const auto serial = Runner::run(spec);
-  const std::string base = fresh_base("steal");
-  auto opts = fast_opts(base, 2);
+  const std::string dir = fresh_dir("steal");
+  auto opts = fast_opts(dir + "/sweep", 2);
   opts.term_grace_ms = 2000.0;
   const auto dist = run_distributed(spec, opts);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
   EXPECT_GE(dist.campaign.worker_steals, 1u);
+  expect_one_serial_journal(dir, spec, dist);
+}
+
+TEST(Distributed, ResumeWithFewerWorkersRunsOnlyTheMissingPoints) {
+  // A 3-worker leader dies halfway: its journal keeps the first half of
+  // its lines, in the order the shards delivered them. A 2-worker leader
+  // resumes it and must launch workers on exactly the missing points.
+  auto spec = make_spec(uniform(12, 1.0));
+  const auto serial = Runner::run(spec);
+  const std::string dir = fresh_dir("resume_fewer");
+  auto opts = fast_opts(dir + "/sweep", 3);
+  (void)run_distributed(spec, opts);
+  const std::string path = dir + "/sweep.jsonl";
+  auto lines = read_journal_lines(path);
+  ASSERT_EQ(lines.size(), 12u);
+  lines.resize(6);
+  write_file(path, joined(lines));
+  std::vector<int> missing(12, 1);
+  for (const auto& line : lines) {
+    driver::JournalEntry entry;
+    ASSERT_TRUE(driver::parse_journal_line(line, &entry));
+    missing[entry.rec.index] = 0;
+  }
+
+  spec.resume = true;
+  opts.workers = 2;
+  opts.steal = false;  // every launched window is then a planned gap
+  std::vector<int> launched(12, 0);
+  const LaunchHook hook = [&](WorkerConfig& cfg) {
+    for (std::size_t i = cfg.range.begin; i < cfg.range.end; ++i) {
+      ++launched[i];
+    }
+  };
+  const auto dist = run_distributed(spec, opts, {}, hook);
+  EXPECT_EQ(launched, missing);
+  EXPECT_EQ(dist.campaign.resumed, 6u);
+  EXPECT_EQ(dist.campaign.worker_restarts, 0u);
+  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
+  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
+  expect_one_serial_journal(dir, spec, dist);
+}
+
+TEST(Distributed, CompleteJournalResumesWithoutLaunchingAWorker) {
+  // A serial run's journal is the leader's journal: resuming a complete
+  // one launches nothing, streams every resumed record, and renders the
+  // serial bytes. journal_base may name the .jsonl file itself.
+  auto spec = make_spec(uniform(6, 0.0));
+  const std::string dir = fresh_dir("complete");
+  const std::string path = dir + "/sweep.jsonl";
+  ExperimentSpec journaled = spec;
+  journaled.journal_path = path;
+  const auto serial = Runner::run(journaled);
+  spec.resume = true;
+  auto opts = fast_opts(path, 2);
+  std::vector<std::size_t> streamed;
+  opts.on_record = [&](std::size_t index, const RunRecord&) {
+    streamed.push_back(index);
+  };
+  std::size_t launches = 0;
+  const LaunchHook hook = [&](WorkerConfig&) { ++launches; };
+  const auto dist = run_distributed(spec, opts, {}, hook);
+  EXPECT_EQ(launches, 0u);
+  EXPECT_EQ(dist.campaign.resumed, 6u);
+  EXPECT_EQ(streamed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
+  EXPECT_EQ(driver::sweep_csv(dist), driver::sweep_csv(serial));
+  expect_one_serial_journal(dir, spec, dist);
+}
+
+TEST(Distributed, CorruptJournalIsATypedErrorBeforeAnyFork) {
+  auto spec = make_spec(uniform(4, 0.0));
+  spec.resume = true;
+  const std::string dir = fresh_dir("corrupt");
+  write_file(dir + "/sweep.jsonl", "{torn in the middle\n");
+  std::size_t launches = 0;
+  const LaunchHook hook = [&](WorkerConfig&) { ++launches; };
+  EXPECT_THROW(run_distributed(spec, fast_opts(dir + "/sweep", 2), {}, hook),
+               JournalCorruptError);
+  EXPECT_EQ(launches, 0u);
+  std::remove((dir + "/sweep.jsonl").c_str());
+  ::rmdir(dir.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -723,11 +919,11 @@ TEST(Distributed, InheritedLinkWithoutALeaderCancelsTheWorker) {
 TEST(Distributed, WorkersWriteNoFilesTheLeaderJournalsEveryRecord) {
   // Every worker runs under RLIMIT_FSIZE 0, so any write it made to a
   // regular file would fail (EFBIG) and turn into a worker error and a
-  // restart. The sweep must still finish clean: every shard-journal line
-  // was written by the leader from a shipped frame.
+  // restart. The sweep must still finish clean: every journal line was
+  // written by the leader from a shipped frame.
   const auto spec = make_spec(uniform(9, 1.0));
   const auto serial = Runner::run(spec);
-  const std::string base = fresh_base("leader_writes");
+  const std::string dir = fresh_dir("leader_writes");
   const WorkerBody body = [](const ExperimentSpec& wspec,
                              const WorkerConfig& cfg) {
     std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of a kill
@@ -735,19 +931,13 @@ TEST(Distributed, WorkersWriteNoFilesTheLeaderJournalsEveryRecord) {
     if (::setrlimit(RLIMIT_FSIZE, &none) != 0) return 99;
     return run_worker(wspec, cfg);
   };
-  auto opts = fast_opts(base, 3);
+  auto opts = fast_opts(dir + "/sweep", 3);
   opts.steal = false;
   const auto dist = run_distributed(spec, opts, body);
   EXPECT_EQ(driver::sweep_json(dist), driver::sweep_json(serial));
   EXPECT_EQ(dist.campaign.worker_restarts, 0u);
   EXPECT_TRUE(dist.campaign.worker_failures.empty());
-  std::size_t lines = 0;
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    const std::string path = shard_journal_path(base, shard);
-    lines += read_journal_lines(path).size();
-    std::remove(path.c_str());
-  }
-  EXPECT_EQ(lines, 9u);
+  expect_one_serial_journal(dir, spec, dist);
 }
 
 TEST(Distributed, StreamingMergeDeliversRecordsInGridOrder) {

@@ -1,5 +1,6 @@
-// Reader fuzz suite: the checkpoint journal codec and the shard merge face
-// files written by processes that died at arbitrary instructions, and the
+// Reader fuzz suite: the checkpoint journal codec and the journal reader
+// (RecordTable::replay) face files written by processes that died at
+// arbitrary instructions, and the
 // other two file readers on common/json (BENCH_psync.json and
 // compile_commands.json) face hand-edited and half-written files. Whatever
 // the bytes, the readers must parse cleanly or raise a *typed* error —
@@ -21,7 +22,6 @@
 
 #include "psync/common/check.hpp"
 #include "psync/common/journal.hpp"
-#include "psync/dist/merge.hpp"
 #include "psync/driver/runner.hpp"
 #include "psync/lintpass/compile_db.hpp"
 #include "psync/perf/bench_report.hpp"
@@ -132,13 +132,13 @@ TEST(JournalFuzz, MidFileGarbageIsATypedMergeError) {
                        "\n%% mid-line garbage %%\n" +
                        journal_line(random_record(rng, 2), points[2].seed) +
                        "\n");
-  EXPECT_THROW(psync::dist::merge_journals(points, "fuzz_wl", {path}),
-               JournalCorruptError);
+  RecordTable table(points, "fuzz_wl");
+  EXPECT_THROW(table.replay(path), JournalCorruptError);
   std::remove(path.c_str());
 }
 
 TEST(JournalFuzz, DuplicatedPointLinesNeverSilentlyDrop) {
-  // Duplicates with agreeing status merge (counted); a flipped status is a
+  // Duplicates with agreeing status are counted; a flipped status is a
   // typed conflict. Either way the reader never quietly picks one.
   std::mt19937_64 rng(0xFACADE);
   auto points = std::vector<RunPoint>(3);
@@ -153,9 +153,10 @@ TEST(JournalFuzz, DuplicatedPointLinesNeverSilentlyDrop) {
   const std::string line = journal_line(rec, points[1].seed);
   const std::string path = fuzz_path("dup.jsonl");
   write_file(path, line + "\n" + line + "\n" + line + "\n");
-  const auto merged = psync::dist::merge_journals(points, "fuzz_wl", {path});
-  EXPECT_EQ(merged.duplicates, 2u);
-  EXPECT_EQ(merged.missing, (std::vector<std::size_t>{0, 2}));
+  RecordTable table(points, "fuzz_wl");
+  EXPECT_EQ(table.replay(path), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(table.duplicates(), 2u);
+  EXPECT_EQ(table.present(), (std::vector<char>{0, 1, 0}));
 
   RunRecord flipped = rec;
   flipped.status = PointStatus::kFailed;
@@ -163,14 +164,15 @@ TEST(JournalFuzz, DuplicatedPointLinesNeverSilentlyDrop) {
   flipped.failure = PointFailure{FailureKind::kInternalError, "x", 1};
   write_file(path,
              line + "\n" + journal_line(flipped, points[1].seed) + "\n");
-  EXPECT_THROW(psync::dist::merge_journals(points, "fuzz_wl", {path}),
-               JournalConflictError);
+  RecordTable fresh(points, "fuzz_wl");
+  EXPECT_THROW(fresh.replay(path), JournalConflictError);
   std::remove(path.c_str());
 }
 
 TEST(JournalFuzz, RandomShardInterleavingsMergeIdentically) {
-  // Scatter one grid's records across a random number of files in random
-  // order; the merge must always reassemble the same grid-order records.
+  // Shards deliver one grid's records to the leader's single journal in
+  // any order: every shuffle of the lines must replay to the same
+  // grid-order records.
   std::mt19937_64 rng(0xAB1E);
   constexpr std::size_t kPoints = 24;
   auto points = std::vector<RunPoint>(kPoints);
@@ -180,31 +182,25 @@ TEST(JournalFuzz, RandomShardInterleavingsMergeIdentically) {
     points[i].seed = rng();
     lines.push_back(journal_line(random_record(rng, i), points[i].seed));
   }
+  const std::string path = fuzz_path("ileave.jsonl");
   for (int iter = 0; iter < 10; ++iter) {
-    const std::size_t files = 1 + rng() % 5;
-    std::vector<std::string> contents(files);
-    std::vector<std::size_t> order(kPoints);
-    for (std::size_t i = 0; i < kPoints; ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    for (const std::size_t i : order) {
-      contents[rng() % files] += lines[i] + "\n";
-    }
-    std::vector<std::string> paths;
-    for (std::size_t f = 0; f < files; ++f) {
-      paths.push_back(fuzz_path("ileave" + std::to_string(f) + ".jsonl"));
-      write_file(paths[f], contents[f]);
-    }
-    const auto merged = psync::dist::merge_journals(points, "fuzz_wl", paths);
-    EXPECT_TRUE(merged.missing.empty());
-    EXPECT_EQ(merged.duplicates, 0u);
+    std::vector<std::string> shuffled = lines;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::string content;
+    for (const auto& line : shuffled) content += line + "\n";
+    write_file(path, content);
+    RecordTable table(points, "fuzz_wl");
+    EXPECT_EQ(table.replay(path).size(), kPoints);
+    EXPECT_EQ(table.duplicates(), 0u);
     for (std::size_t i = 0; i < kPoints; ++i) {
-      EXPECT_EQ(merged.records[i].index, i);
-      // Re-rendering the merged record must reproduce the original bytes —
-      // the identity the distributed merge's determinism stands on.
-      EXPECT_EQ(journal_line(merged.records[i], points[i].seed), lines[i]);
+      ASSERT_TRUE(table.has(i));
+      EXPECT_EQ(table[i].index, i);
+      // Re-rendering the replayed record must reproduce the original
+      // bytes — the identity resumed output's determinism stands on.
+      EXPECT_EQ(journal_line(table[i], points[i].seed), lines[i]);
     }
-    for (const auto& p : paths) std::remove(p.c_str());
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

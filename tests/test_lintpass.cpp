@@ -129,7 +129,7 @@ TEST(LintDetPointerFormat, IdsAndShiftsDoNotFire) {
 
 TEST(LintDetUnordered, FiresInOrderSensitiveModule) {
   const auto r = lint_fixture("det_unordered_fires.cpp",
-                              "src/psync/dist/merge_fixture.cpp");
+                              "src/psync/dist/stream_merge_fixture.cpp");
   EXPECT_EQ(count_rule(r, "det-unordered"), 1);  // the declaration
 }
 
@@ -141,7 +141,7 @@ TEST(LintDetUnordered, QuietOutsideSensitiveModules) {
 
 TEST(LintDetUnordered, OrderedContainerIsClean) {
   const auto r = lint_fixture("det_unordered_clean.cpp",
-                              "src/psync/dist/merge_fixture.cpp");
+                              "src/psync/dist/stream_merge_fixture.cpp");
   EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
 }
 
@@ -149,7 +149,7 @@ TEST(LintDetUnordered, OrderedContainerIsClean) {
 
 TEST(LintSuppression, AuditedAllowSilencesAndIsCounted) {
   const auto r = lint_fixture("det_unordered_suppressed.cpp",
-                              "src/psync/dist/merge_fixture.cpp");
+                              "src/psync/dist/stream_merge_fixture.cpp");
   EXPECT_TRUE(r.findings.empty()) << lp::render_text(r);
   ASSERT_EQ(r.suppressions.size(), 1u);
   EXPECT_EQ(r.suppressions[0].rule, "det-unordered");

@@ -1,9 +1,9 @@
 // The socket transport's building blocks (src/psync/dist): the length-
 // prefixed frame codec under short reads and garbage, the control-frame
 // payload codecs, the seeded ChaosTransport fault injector, decorrelated-
-// jitter backoff, the leader's epoch-fencing ledger, the streaming
-// grid-order merger, and the journal-directory durability helpers
-// (fsync_parent_dir / durable_rename). Everything here is deterministic:
+// jitter backoff, the leader's epoch-fencing ledger, the grid-order
+// record stream over the record table, and the journal-directory
+// durability helper (fsync_parent_dir). Everything here is deterministic:
 // fixed seeds replay identical fault sequences.
 #include <gtest/gtest.h>
 
@@ -553,7 +553,7 @@ TEST(Epochs, IssueRevokeFence) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingMerger
+// StreamingMerger: the contiguous-prefix cursor over the record table
 
 driver::RunRecord rec_for(std::size_t index,
                           driver::PointStatus status =
@@ -565,102 +565,71 @@ driver::RunRecord rec_for(std::size_t index,
   return rec;
 }
 
+std::vector<driver::RunPoint> grid_of(std::size_t n) {
+  std::vector<driver::RunPoint> points(n);
+  for (std::size_t i = 0; i < n; ++i) points[i].index = i;
+  return points;
+}
+
 TEST(StreamMerge, EmitsTheContiguousPrefixInGridOrder) {
+  const auto points = grid_of(6);
+  driver::RecordTable table(points, "stream_test");
   std::vector<std::size_t> emitted;
-  StreamingMerger merger(6, [&](std::size_t i, const driver::RunRecord&) {
+  StreamingMerger stream([&](std::size_t i, const driver::RunRecord& rec) {
+    EXPECT_EQ(rec.index, i);
     emitted.push_back(i);
   });
-  EXPECT_TRUE(merger.offer(rec_for(2)));  // held: gap at 0..1
-  EXPECT_TRUE(merger.offer(rec_for(0)));  // emits 0
+  const auto offer = [&](std::size_t i) {
+    EXPECT_TRUE(table.add(rec_for(i)));
+    stream.advance(table);
+  };
+  offer(2);  // held: gap at 0..1
+  EXPECT_TRUE(emitted.empty());
+  offer(0);  // emits 0
   EXPECT_EQ(emitted, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(merger.held(), 1u);
-  EXPECT_TRUE(merger.offer(rec_for(1)));  // unblocks 1 and the held 2
+  offer(1);  // unblocks 1 and the held 2
   EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(merger.emitted(), 3u);
-  EXPECT_EQ(merger.held(), 0u);
-  EXPECT_TRUE(merger.offer(rec_for(5)));
-  EXPECT_TRUE(merger.offer(rec_for(4)));
-  EXPECT_TRUE(merger.offer(rec_for(3)));
+  EXPECT_EQ(stream.emitted(), 3u);
+  offer(5);
+  offer(4);
+  offer(3);
   EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(merger.arrived(), 6u);
+  EXPECT_EQ(table.recorded(), 6u);
 }
 
 TEST(StreamMerge, AgreeingDuplicatesAreCountedNotReEmitted) {
+  const auto points = grid_of(3);
+  driver::RecordTable table(points, "stream_test");
   std::size_t emits = 0;
-  StreamingMerger merger(3,
-                         [&](std::size_t, const driver::RunRecord&) {
-                           ++emits;
-                         });
-  EXPECT_TRUE(merger.offer(rec_for(0)));
-  EXPECT_FALSE(merger.offer(rec_for(0)));  // retransmitted frame
-  EXPECT_TRUE(merger.offer(rec_for(1)));
-  EXPECT_FALSE(merger.offer(rec_for(1)));
+  StreamingMerger stream(
+      [&](std::size_t, const driver::RunRecord&) { ++emits; });
+  for (const std::size_t i : {0, 0, 1, 1}) {  // retransmitted frames
+    (void)table.add(rec_for(i));
+    stream.advance(table);
+  }
   EXPECT_EQ(emits, 2u);
-  EXPECT_EQ(merger.duplicates(), 2u);
+  EXPECT_EQ(table.duplicates(), 2u);
 }
 
 TEST(StreamMerge, DisagreeingDuplicateAndOutOfGridAreTypedErrors) {
-  StreamingMerger merger(3, {});
-  EXPECT_TRUE(merger.offer(rec_for(1)));  // still held (gap at 0)
-  EXPECT_THROW(merger.offer(rec_for(1, driver::PointStatus::kFailed)),
+  const auto points = grid_of(3);
+  driver::RecordTable table(points, "stream_test");
+  StreamingMerger stream({});
+  EXPECT_TRUE(table.add(rec_for(1)));  // not yet streamed (gap at 0)
+  EXPECT_THROW(table.add(rec_for(1, driver::PointStatus::kFailed)),
                JournalConflictError);
-  EXPECT_TRUE(merger.offer(rec_for(0)));  // 0 then the held 1 emit
-  // Post-emit disagreement must still be caught (the record is gone from
-  // the held map but its status is remembered).
-  EXPECT_THROW(merger.offer(rec_for(0, driver::PointStatus::kFailed)),
+  EXPECT_TRUE(table.add(rec_for(0)));
+  stream.advance(table);  // 0 then 1 stream
+  EXPECT_EQ(stream.emitted(), 2u);
+  // A streamed record's verdict is still the table's: a later
+  // disagreement is caught all the same.
+  EXPECT_THROW(table.add(rec_for(0, driver::PointStatus::kFailed)),
                JournalConflictError);
-  EXPECT_THROW(merger.offer(rec_for(3)), JournalConflictError);
+  EXPECT_THROW(table.add(rec_for(3)), JournalConflictError);
 }
 
 // ---------------------------------------------------------------------------
-// Journal directory durability (satellite: rename-then-crash regression)
-
-TEST(DurableRename, RenamedJournalReadsBackEveryAcknowledgedLine) {
-  const std::string staging = temp_path("staging.jsonl");
-  const std::string live = temp_path("live.jsonl");
-  {
-    JournalWriter w;
-    w.open(staging, /*keep_existing=*/false);
-    w.append(R"({"index":0})");
-    w.append(R"({"index":1})");
-    w.close();
-  }
-  // The crash-safety sequence under test: create + append (fsync'd),
-  // rename into place, fsync the parent. After this returns, a kill -9
-  // at *any* point leaves either the old state or the complete new one —
-  // never a present name with absent content.
-  durable_rename(staging, live);
-  EXPECT_EQ(read_journal_lines(live),
-            (std::vector<std::string>{R"({"index":0})", R"({"index":1})"}));
-  EXPECT_TRUE(read_journal_lines(staging).empty()) << "source is gone";
-  std::remove(live.c_str());
-}
-
-TEST(DurableRename, OverwritesTheDestinationAtomically) {
-  const std::string from = temp_path("steal.jsonl");
-  const std::string to = temp_path("target.jsonl");
-  {
-    JournalWriter w;
-    w.open(to, false);
-    w.append("old");
-    w.close();
-  }
-  {
-    JournalWriter w;
-    w.open(from, false);
-    w.append("new");
-    w.close();
-  }
-  durable_rename(from, to);
-  EXPECT_EQ(read_journal_lines(to), (std::vector<std::string>{"new"}));
-  std::remove(to.c_str());
-}
-
-TEST(DurableRename, MissingSourceIsATypedError) {
-  EXPECT_THROW(durable_rename(temp_path("nope.jsonl"),
-                              temp_path("nowhere.jsonl")),
-               SimulationError);
-}
+// Journal directory durability
 
 TEST(DurableRename, FsyncParentDirIsBestEffortOnOddPaths) {
   // Must not throw for any dirname shape — including paths whose parent

@@ -9,13 +9,16 @@
 #      (drops, duplicates, reordering, delay, one hard partition per
 #      shard), and one worker process SIGKILL'd mid-run on top.
 # The leader must fence stale epochs, ride out reconnects, restart the
-# killed shard from its journal, and still merge an output that is
-# byte-identical to the reference. Several rounds vary the chaos seed
-# and the kill timing so the faults land in different places.
+# killed shard past what its journal holds, and still render an output
+# that is byte-identical to the reference. After every round, a serial
+# --resume over the leader's one journal (<base>.jsonl, in the serial
+# format) must resume every point and render the reference bytes too.
+# Several rounds vary the chaos seed and the kill timing so the faults
+# land in different places.
 #
 # Usage: tools/net_chaos_smoke.sh <psync_sim-binary> <config.ini> [workdir]
-# Exits nonzero (leaving the shard journals in the workdir for CI to
-# upload) on any mismatch.
+# Exits nonzero (leaving the journals in the workdir for CI to upload) on
+# any mismatch.
 set -u
 
 SIM=${1:?usage: net_chaos_smoke.sh <psync_sim> <config.ini> [workdir]}
@@ -38,10 +41,32 @@ CHAOS_FLAGS="--chaos-drop 0.10 --chaos-dup 0.10 --chaos-reorder 0.08 \
   --chaos-delay 0.10 --chaos-delay-ms 5 \
   --chaos-partition-after 20 --chaos-partition-ms 80"
 
+# A serial --resume over a finished leader's journal: every point must come
+# back resumed (none re-run) and the JSON must match the reference.
+serial_resume_ok() {
+  local label=$1 journal=$2
+  if ! "$SIM" --resume "$journal" --json "$CONFIG" \
+      > "$WORK/$label-resume.json" 2> "$WORK/$label-resume.stderr"; then
+    echo "net-chaos-smoke: $label: serial resume FAILED"
+    sed 's/^/  resume stderr: /' "$WORK/$label-resume.stderr"
+    return 1
+  fi
+  if ! grep -q 'campaign: \([0-9][0-9]*\) point(s):.* \1 resumed from journal' \
+      "$WORK/$label-resume.stderr"; then
+    echo "net-chaos-smoke: $label: serial resume did not resume every point"
+    sed 's/^/  resume stderr: /' "$WORK/$label-resume.stderr"
+    return 1
+  fi
+  if ! cmp -s "$WORK/ref.json" "$WORK/$label-resume.json"; then
+    echo "net-chaos-smoke: $label: serial resume JSON differs from reference"
+    return 1
+  fi
+}
+
 fail=0
 for round in 1 2 3; do
   base="$WORK/chaos-$round"
-  rm -f "$base".shard*.jsonl
+  rm -f "$base".jsonl
   seed=$((1000 + RANDOM))
   delay=$(awk -v r="$RANDOM" 'BEGIN { printf "%.2f", 0.05 + (r % 40) / 100 }')
 
@@ -71,14 +96,15 @@ for round in 1 2 3; do
     "$WORK/chaos-$round.stderr"
 
   if ! cmp -s "$WORK/ref.json" "$WORK/chaos-$round.json"; then
-    echo "net-chaos-smoke: round $round: merged JSON differs from reference"
+    echo "net-chaos-smoke: round $round: JSON differs from reference"
     fail=1
   fi
+  serial_resume_ok "chaos-$round" "$base.jsonl" || fail=1
 done
 
 # One CSV rendering through the chaotic socket path for the second format.
 base="$WORK/chaos-csv"
-rm -f "$base".shard*.jsonl
+rm -f "$base".jsonl
 # shellcheck disable=SC2086
 if ! "$SIM" --workers 3 --listen 127.0.0.1:0 --journal "$base" \
     --chaos-seed 424242 $CHAOS_FLAGS --csv "$CONFIG" \
@@ -86,7 +112,7 @@ if ! "$SIM" --workers 3 --listen 127.0.0.1:0 --journal "$base" \
   echo "net-chaos-smoke: csv round: leader FAILED"
   fail=1
 elif ! cmp -s "$WORK/ref.csv" "$WORK/chaos-csv.csv"; then
-  echo "net-chaos-smoke: csv round: merged CSV differs from reference"
+  echo "net-chaos-smoke: csv round: CSV differs from reference"
   fail=1
 fi
 

@@ -72,15 +72,18 @@
 // Distributed sweeps: --workers N shards the grid across N worker
 // *processes* supervised by this one (src/psync/dist): heartbeat
 // liveness (--heartbeat-ms, default 100), automatic restart-with-backoff
-// of crashed or wedged workers, work stealing from stragglers, and a
-// final merge that renders byte-identical output to a single-process
-// run — see docs/robustness.md. Workers are launched as
+// of crashed or wedged workers, work stealing from stragglers, and
+// output byte-identical to a single-process run — see
+// docs/robustness.md. Workers are launched as
 // `psync_sim --worker-shard A:B --link-fd N ...` re-invocations of this
 // binary, each inheriting one end of a socketpair; the worker flags are
 // internal plumbing, not a user interface. Workers ship every finished
-// point's journal record to the leader as a frame, and the leader writes
-// the per-shard fsync'd journals. --journal doubles as the shard-journal
-// base path (default: under /tmp).
+// point's journal record to the leader as a frame, and the leader appends
+// it to one fsync'd journal in the serial format: --journal/--resume PATH
+// (PATH.jsonl unless PATH already ends in .jsonl), so a killed leader
+// resumes like a serial run, with or without --workers. Without
+// --journal the leader journals to /tmp/psync-dist-<pid>.jsonl and
+// removes it once the run returns; a cancelled run keeps it and names it.
 //
 // Remote workers: --listen [HOST:]PORT (PORT 0 = ephemeral) makes workers
 // dial a TCP listener instead of inheriting a socketpair: the same frames,
@@ -337,9 +340,9 @@ bool parse_index_list(const std::string& arg, std::vector<std::size_t>* out) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Strict values for the worker and chaos flags: the whole argument must
-/// parse as a T in [lo, hi]. "abc", "12x" or "-1" for a count is reported
-/// naming the flag, never read as a silent 0.
+/// Strict values for every numeric flag: the whole argument must parse as
+/// a T in [lo, hi]. "abc", "12x" or "-1" for a count is reported naming
+/// the flag, never read as a silent 0.
 template <typename T>
 bool flag_value(const std::string& flag, const char* text, T* out,
                 T lo = std::numeric_limits<T>::lowest(),
@@ -354,6 +357,7 @@ bool flag_value(const std::string& flag, const char* text, T* out,
   const char* want = std::is_floating_point_v<T>
                          ? (hi == T(1) ? "a probability in [0,1]"
                                        : "a number >= 0")
+                     : lo > T(0) ? "a positive integer"
                      : lo < T(0) ? "an integer"
                                  : "a non-negative integer";
   std::fprintf(stderr, "psync_sim: %s expects %s, got '%s'\n", flag.c_str(),
@@ -449,8 +453,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--profile") {
       profile = true;
     } else if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      threads_override = std::atol(argv[++i]);
+      if (!value(&threads_override, 1L)) return usage();
     } else if (arg == "--journal") {
       if (i + 1 >= argc) return usage();
       journal_path = argv[++i];
@@ -461,18 +464,13 @@ int main(int argc, char** argv) {
       resume = true;
       saw_resume = true;
     } else if (arg == "--timeout-ms") {
-      if (i + 1 >= argc) return usage();
-      timeout_ms = std::atof(argv[++i]);
+      if (!value(&timeout_ms, 0.0, kInf)) return usage();
     } else if (arg == "--retries") {
-      if (i + 1 >= argc) return usage();
-      retries_override = std::atol(argv[++i]);
+      if (!value(&retries_override, 0L)) return usage();
     } else if (arg == "--workers") {
-      if (i + 1 >= argc) return usage();
-      workers = std::atol(argv[++i]);
-      if (workers <= 0) return usage();
+      if (!value(&workers, 1L)) return usage();
     } else if (arg == "--heartbeat-ms") {
-      if (i + 1 >= argc) return usage();
-      heartbeat_ms = std::atof(argv[++i]);
+      if (!value(&heartbeat_ms, 0.0, kInf)) return usage();
     } else if (arg == "--listen") {
       if (i + 1 >= argc) return usage();
       listen_spec = argv[++i];
@@ -588,6 +586,9 @@ int main(int argc, char** argv) {
 
   install_signal_handlers();
 
+  // How a cancelled run is told to resume: the journal it names, or the
+  // one a distributed leader made up.
+  std::string resume_hint = "against the same journal";
   try {
     perf::PhaseProfiler prof;
     prof.begin("parse + validate config");
@@ -629,9 +630,14 @@ int main(int argc, char** argv) {
       dist::SupervisorOptions opts;
       opts.workers = static_cast<std::size_t>(workers);
       opts.heartbeat_ms = heartbeat_ms;
-      opts.journal_base = !spec.journal_path.empty()
-                              ? spec.journal_path
-                              : "/tmp/psync-dist-" + std::to_string(::getpid());
+      // Without --journal the leader still needs one. It is scratch: gone
+      // once the run returns a result, kept (and named) on cancel.
+      const bool scratch_journal = spec.journal_path.empty();
+      opts.journal_base =
+          scratch_journal
+              ? "/tmp/psync-dist-" + std::to_string(::getpid()) + ".jsonl"
+              : spec.journal_path;
+      if (scratch_journal) resume_hint = opts.journal_base;
       opts.cancel = &g_cancel;
       if (!listen_spec.empty()) {
         opts.transport = dist::TransportKind::kSocket;
@@ -734,6 +740,7 @@ int main(int argc, char** argv) {
         return 127;
       };
       result = dist::run_distributed(spec, opts, body, hook);
+      if (scratch_journal) std::remove(opts.journal_base.c_str());
     } else {
       spec.cancel = &g_cancel;
       // Session API: validate (pure, typed diagnostics — all of them, not
@@ -811,10 +818,8 @@ int main(int argc, char** argv) {
     if (strict && !camp.all_ok()) return 3;
     return 0;
   } catch (const CancelledError& e) {
-    std::fprintf(stderr,
-                 "psync_sim: cancelled: %s (resume with --resume against the "
-                 "same journal)\n",
-                 e.what());
+    std::fprintf(stderr, "psync_sim: cancelled: %s (resume with --resume %s)\n",
+                 e.what(), resume_hint.c_str());
     return 4;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psync_sim: %s\n", e.what());
