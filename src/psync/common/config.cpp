@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "psync/common/check.hpp"
 
@@ -25,6 +26,63 @@ std::string lower(std::string s) {
   return s;
 }
 
+// The one parse rule per value type, shared by the typed accessors and
+// ConfigSchema::validate: the whole token must parse.
+std::optional<std::int64_t> to_int(const std::string& s) {
+  try {
+    std::size_t used = 0;
+    const std::int64_t out = std::stoll(s, &used, 0);
+    if (used == s.size()) return out;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::optional<double> to_double(const std::string& s) {
+  try {
+    std::size_t used = 0;
+    const double out = std::stod(s, &used);
+    if (used == s.size()) return out;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::optional<bool> to_bool(const std::string& s) {
+  const std::string low = lower(s);
+  if (low == "true" || low == "yes" || low == "on" || low == "1") return true;
+  if (low == "false" || low == "no" || low == "off" || low == "0") return false;
+  return std::nullopt;
+}
+
+// Whitespace-separated tokens, at least one, each parsed by `to`.
+template <typename T>
+std::optional<std::vector<T>> to_list(
+    const std::string& s, std::optional<T> (*to)(const std::string&)) {
+  const char* ws = " \t\n\v\f\r";
+  std::vector<T> out;
+  for (auto b = s.find_first_not_of(ws); b != std::string::npos;) {
+    const auto e = s.find_first_of(ws, b);
+    const auto item = to(s.substr(b, e - b));
+    if (!item) return std::nullopt;
+    out.push_back(*item);
+    b = s.find_first_not_of(ws, e);
+  }
+  if (out.empty()) return std::nullopt;
+  return out;
+}
+
+// `parsed`, or a ConfigError naming `section.key` and its raw value.
+template <typename T>
+T require(std::optional<T> parsed, const std::string& section,
+          const std::string& key, const std::string& raw, const char* what) {
+  if (!parsed) {
+    throw ConfigError("IniConfig: '" + section + "." + key + "' is not " +
+                      what + ": " + raw);
+  }
+  return std::move(*parsed);
+}
+
 }  // namespace
 
 IniConfig IniConfig::parse(const std::string& text) {
@@ -42,8 +100,8 @@ IniConfig IniConfig::parse(const std::string& text) {
 
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
-        throw SimulationError("IniConfig: malformed section at line " +
-                              std::to_string(lineno));
+        throw ConfigError("IniConfig: malformed section at line " +
+                          std::to_string(lineno));
       }
       section = trim(line.substr(1, line.size() - 2));
       if (!cfg.data_.count(section)) {
@@ -56,23 +114,23 @@ IniConfig IniConfig::parse(const std::string& text) {
 
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw SimulationError("IniConfig: expected 'key = value' at line " +
-                            std::to_string(lineno));
+      throw ConfigError("IniConfig: expected 'key = value' at line " +
+                        std::to_string(lineno));
     }
     if (section.empty()) {
-      throw SimulationError("IniConfig: key outside any section at line " +
-                            std::to_string(lineno));
+      throw ConfigError("IniConfig: key outside any section at line " +
+                        std::to_string(lineno));
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty()) {
-      throw SimulationError("IniConfig: empty key at line " +
-                            std::to_string(lineno));
+      throw ConfigError("IniConfig: empty key at line " +
+                        std::to_string(lineno));
     }
     auto& sec = cfg.data_[section];
     if (sec.count(key)) {
-      throw SimulationError("IniConfig: duplicate key '" + key +
-                            "' at line " + std::to_string(lineno));
+      throw ConfigError("IniConfig: duplicate key '" + key +
+                        "' at line " + std::to_string(lineno));
     }
     sec[key] = value;
     cfg.key_order_[section].push_back(key);
@@ -123,42 +181,33 @@ std::int64_t IniConfig::get_int(const std::string& section,
                                 const std::string& key,
                                 std::int64_t fallback) const {
   const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const std::int64_t out = std::stoll(*v, &used, 0);
-    if (used != v->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw SimulationError("IniConfig: '" + section + "." + key +
-                          "' is not an integer: " + *v);
-  }
+  return v ? require(to_int(*v), section, key, *v, "an integer") : fallback;
 }
 
 double IniConfig::get_double(const std::string& section,
                              const std::string& key, double fallback) const {
   const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw SimulationError("IniConfig: '" + section + "." + key +
-                          "' is not a number: " + *v);
-  }
+  return v ? require(to_double(*v), section, key, *v, "a number") : fallback;
 }
 
 bool IniConfig::get_bool(const std::string& section, const std::string& key,
                          bool fallback) const {
   const auto v = get(section, key);
-  if (!v) return fallback;
-  const std::string low = lower(*v);
-  if (low == "true" || low == "yes" || low == "on" || low == "1") return true;
-  if (low == "false" || low == "no" || low == "off" || low == "0") return false;
-  throw SimulationError("IniConfig: '" + section + "." + key +
-                        "' is not a boolean: " + *v);
+  return v ? require(to_bool(*v), section, key, *v, "a boolean") : fallback;
+}
+
+std::vector<std::int64_t> IniConfig::get_ints(const std::string& section,
+                                              const std::string& key) const {
+  const auto v = get(section, key);
+  if (!v) return {};
+  return require(to_list(*v, to_int), section, key, *v, "an integer list");
+}
+
+std::vector<double> IniConfig::get_doubles(const std::string& section,
+                                           const std::string& key) const {
+  const auto v = get(section, key);
+  if (!v) return {};
+  return require(to_list(*v, to_double), section, key, *v, "a number list");
 }
 
 namespace {
@@ -194,50 +243,19 @@ std::string suggest(const std::string& name, const Range& candidates) {
 }
 
 bool parses_as(ConfigSchema::Type type, const std::string& value) {
-  const auto is_int = [](const std::string& tok) {
-    try {
-      std::size_t used = 0;
-      (void)std::stoll(tok, &used, 0);
-      return used == tok.size();
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
-  const auto is_double = [](const std::string& tok) {
-    try {
-      std::size_t used = 0;
-      (void)std::stod(tok, &used);
-      return used == tok.size();
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
   switch (type) {
     case ConfigSchema::Type::kString:
       return true;
     case ConfigSchema::Type::kInt:
-      return is_int(value);
+      return to_int(value).has_value();
     case ConfigSchema::Type::kDouble:
-      return is_double(value);
-    case ConfigSchema::Type::kBool: {
-      const std::string low = lower(value);
-      return low == "true" || low == "yes" || low == "on" || low == "1" ||
-             low == "false" || low == "no" || low == "off" || low == "0";
-    }
+      return to_double(value).has_value();
+    case ConfigSchema::Type::kBool:
+      return to_bool(value).has_value();
     case ConfigSchema::Type::kIntList:
-    case ConfigSchema::Type::kDoubleList: {
-      std::istringstream in(value);
-      std::string tok;
-      bool any = false;
-      while (in >> tok) {
-        any = true;
-        if (type == ConfigSchema::Type::kIntList ? !is_int(tok)
-                                                 : !is_double(tok)) {
-          return false;
-        }
-      }
-      return any;
-    }
+      return to_list(value, to_int).has_value();
+    case ConfigSchema::Type::kDoubleList:
+      return to_list(value, to_double).has_value();
   }
   return false;
 }

@@ -13,7 +13,7 @@ namespace psync {
 
 class IniConfig {
  public:
-  /// Parse from text; throws SimulationError with a line number on
+  /// Parse from text; throws ConfigError with a line number on
   /// malformed input (garbage lines, keys outside any section, duplicate
   /// keys within a section).
   static IniConfig parse(const std::string& text);
@@ -30,7 +30,8 @@ class IniConfig {
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;
 
-  /// Typed accessors; throw SimulationError on unparsable values.
+  /// Typed accessors, by the same rules ConfigSchema::validate checks;
+  /// they throw ConfigError naming the key on unparsable values.
   std::string get_string(const std::string& section, const std::string& key,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& section, const std::string& key,
@@ -39,6 +40,11 @@ class IniConfig {
                     double fallback) const;
   bool get_bool(const std::string& section, const std::string& key,
                 bool fallback) const;
+  /// Whitespace-separated lists of at least one value (empty if absent).
+  std::vector<std::int64_t> get_ints(const std::string& section,
+                                     const std::string& key) const;
+  std::vector<double> get_doubles(const std::string& section,
+                                  const std::string& key) const;
 
  private:
   // section -> key -> value, insertion-ordered via auxiliary lists.
@@ -76,6 +82,11 @@ class ConfigSchema {
 
   /// Every problem in `cfg`, in section/key insertion order.
   std::vector<ConfigDiagnostic> validate(const IniConfig& cfg) const;
+
+  /// Every declared section -> key -> type.
+  const std::map<std::string, std::map<std::string, Type>>& keys() const {
+    return schema_;
+  }
 
  private:
   std::map<std::string, std::map<std::string, Type>> schema_;

@@ -135,6 +135,10 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);  // EINVAL etc. from fsync: fs does not support it; ignore
 }
 
+std::string journal_file(const std::string& path) {
+  return path.empty() || path.ends_with(".jsonl") ? path : path + ".jsonl";
+}
+
 std::vector<std::string> list_journal_files(const std::string& dir) {
   std::vector<std::string> paths;
   DIR* d = ::opendir(dir.c_str());

@@ -51,6 +51,12 @@ class JournalWriter {
 [[nodiscard]] std::vector<std::string> read_journal_lines(
     const std::string& path);
 
+/// The file a campaign journal named `path` lives in: `path` itself when
+/// it ends in ".jsonl" (or is empty: no journal), otherwise path +
+/// ".jsonl". The serial Session and the dist leader both open it, so
+/// `--journal J` and `--resume J` name one file with or without --workers.
+[[nodiscard]] std::string journal_file(const std::string& path);
+
 /// Every "*.jsonl" file directly inside `dir`, as full paths, sorted by
 /// name (deterministic scan order). A missing or unreadable directory
 /// reads as empty — the journal-store index for a cache directory that

@@ -85,13 +85,18 @@ MeshMachine::MeshMachine(MeshMachineParams params) : params_(params) {
 
 TransposeRunReport MeshMachine::run_transpose_writeback(
     std::uint32_t elements_per_node) {
+  if (elements_per_node % params_.elements_per_packet != 0) {
+    throw ConfigError("transpose: elements per node (" +
+                      std::to_string(elements_per_node) +
+                      ") must be a multiple of elements_per_packet (" +
+                      std::to_string(params_.elements_per_packet) + ")");
+  }
   mesh::Mesh net(params_.net);
   const std::uint64_t total =
       static_cast<std::uint64_t>(net.nodes()) * elements_per_node;
   mesh::MemoryInterface mi(params_.mi, total);
   net.set_sink(params_.memory_node, &mi);
 
-  PSYNC_CHECK(elements_per_node % params_.elements_per_packet == 0);
   for (mesh::NodeId n = 0; n < net.nodes(); ++n) {
     for (std::uint32_t e = 0; e < elements_per_node;
          e += params_.elements_per_packet) {
@@ -126,7 +131,13 @@ TransposeRunReport MeshMachine::run_transpose_writeback_multiport(
   if (ports != 1 && ports != 2 && ports != 4) {
     throw SimulationError("multiport transpose: ports must be 1, 2 or 4");
   }
-  PSYNC_CHECK(elements_per_node % (params_.elements_per_packet * ports) == 0);
+  const std::uint64_t per_port_packet =
+      std::uint64_t{params_.elements_per_packet} * ports;
+  if (elements_per_node % per_port_packet != 0) {
+    throw ConfigError("multiport transpose: elements per node (" +
+                      std::to_string(elements_per_node) +
+                      ") must be a multiple of elements_per_packet x ports");
+  }
 
   mesh::Mesh net(params_.net);
   const auto g = static_cast<std::uint32_t>(params_.grid);
@@ -192,6 +203,12 @@ MeshRunReport MeshMachine::run_fft2d(
   const std::size_t cpp = C / P;
   const std::uint32_t epp = params_.elements_per_packet;
   PSYNC_CHECK(input.size() == R * C);
+  if ((rpp * C) % epp != 0) {
+    throw ConfigError("mesh fft2d: elements per processor (" +
+                      std::to_string(rpp * C) +
+                      ") must be a multiple of elements_per_packet (" +
+                      std::to_string(epp) + ")");
+  }
 
   std::vector<Processor> procs;
   procs.reserve(P);

@@ -80,16 +80,6 @@ bool send_frame_fd(int fd, const Frame& frame) {
   return true;
 }
 
-/// The campaign's one journal file: `base` itself when it already names a
-/// ".jsonl" file, otherwise base + ".jsonl".
-std::string journal_file(const std::string& base) {
-  const std::string ext = ".jsonl";
-  const bool named =
-      base.size() >= ext.size() &&
-      base.compare(base.size() - ext.size(), ext.size(), ext) == 0;
-  return named ? base : base + ext;
-}
-
 /// One unit of schedulable work: a contiguous grid range. Assignments
 /// outlive the workers that execute them — a crashed worker's assignment
 /// is relaunched, a straggler's is split.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -41,20 +42,21 @@ std::size_t estimate_point_bytes(const std::string& workload,
   // sizeof(std::complex<double>) per element, times a small factor for the
   // working copies the machines hold (input, per-processor tiles, delivery
   // buffers, reference transform). Deliberately coarse — this is an
-  // admission gate against runaway grids, not an allocator model.
-  constexpr std::size_t kElem = 16;
-  constexpr std::size_t kCopies = 6;
-  const std::size_t matrix =
-      pt.machine.matrix_rows * pt.machine.matrix_cols * kElem * kCopies;
+  // admission gate against runaway grids, not an allocator model. Taken in
+  // long double (exact for any size_t), an oversized product saturates.
+  constexpr long double kElem = 16;
+  constexpr long double kCopies = 6;
+  long double bytes =
+      kElem * kCopies * pt.machine.matrix_rows * pt.machine.matrix_cols;
   if (workload == "mesh") {
-    return pt.mesh.matrix_rows * pt.mesh.matrix_cols * kElem * kCopies;
+    bytes = kElem * kCopies * pt.mesh.matrix_rows * pt.mesh.matrix_cols;
   }
   if (workload == "transpose") {
-    return pt.mesh.grid * pt.mesh.grid * pt.transpose_elements * 8 * 4;
+    bytes = 8.0L * 4 * pt.mesh.grid * pt.mesh.grid * pt.transpose_elements;
   }
   if (workload == "fig11" || workload == "fig13") return 1024;
-  if (workload == "fft2d" && pt.with_mesh) return matrix * 2;
-  return matrix;  // fft2d, fft1d, pipeline, reliability, degradation_sweep
+  if (workload == "fft2d" && pt.with_mesh) bytes *= 2;
+  return bytes >= SIZE_MAX ? SIZE_MAX : static_cast<std::size_t>(bytes);
 }
 
 namespace {

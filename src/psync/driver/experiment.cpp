@@ -1,8 +1,9 @@
 #include "psync/driver/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
-#include <sstream>
 
 #include "psync/common/check.hpp"
 
@@ -10,28 +11,224 @@ namespace psync::driver {
 
 namespace {
 
-// A grid's grid^2 mesh node ids must fit in 32 bits.
-constexpr std::size_t kMaxGrid = 65535;
+using enum ConfigSchema::Type;
 
-// Count-valued knobs arrive as doubles from the sweep parser, and [mesh]
-// config integers as int64. Casting a negative or oversized value straight
-// to a narrower unsigned type is undefined behavior (in practice it wraps:
-// -1 becomes a huge count, 2^32 + 1 becomes 1), and a fractional value
-// would silently truncate — the run would then report a value that was
-// never actually simulated. Reject all three up front, naming the knob;
-// `lo`/`hi` narrow the range further where the model needs it.
-template <typename UInt>
-UInt count_knob(const std::string& knob, double value, UInt lo = 0,
-                UInt hi = std::numeric_limits<UInt>::max()) {
-  // 2^digits, the first value UInt cannot hold, is exact in a double.
-  const double end = std::ldexp(1.0, std::numeric_limits<UInt>::digits);
-  if (!(value >= 0.0 && value < end) || std::floor(value) != value ||
-      static_cast<UInt>(value) < lo || static_cast<UInt>(value) > hi) {
-    throw ConfigError("knob '" + knob + "' must be an integer in [" +
-                      std::to_string(lo) + ", " + std::to_string(hi) +
-                      "]; got " + std::to_string(value));
+constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+static_assert(std::numeric_limits<std::size_t>::max() == kU64);
+// A grid's grid^2 mesh node ids must fit in 32 bits.
+constexpr std::uint64_t kMaxGrid = 65535;
+
+// Knob names the legacy kinds also use as their axis, and the section
+// whose every key is a knob's axis (also the legacy one-knob kind).
+constexpr const char* kProcessors = "processors";
+constexpr const char* kMarginDb = "margin_db";
+constexpr const char* kSweep = "sweep";
+
+// What a setter writes: the spec being read, or for a sweep knob only a
+// point's parameter blocks (spec is null). The legacy kinds' keys land in
+// the last four fields, folded into the workload and an axis at the end.
+struct Target {
+  core::PsyncMachineParams& machine;
+  core::MeshMachineParams& mesh;
+  ExperimentSpec* spec;
+  std::string workload = "fft2d";
+  std::string vary = kProcessors;
+  std::vector<double> values = {};
+  std::vector<double> margins_db = {};
+};
+
+// One value, parsed as its key's type and range-checked.
+struct Value {
+  std::string text;          // kString
+  std::uint64_t count = 0;   // kInt
+  double number = 0.0;       // kDouble
+  bool flag = false;         // kBool
+  std::vector<double> list;  // kIntList, kDoubleList
+  std::uint32_t u32() const { return static_cast<std::uint32_t>(count); }
+};
+
+// One row of the config surface: an INI key, a sweep knob, or both.
+struct Key {
+  const char* section;  // nullptr: a knob with no INI key
+  const char* name;
+  ConfigSchema::Type type;
+  bool knob;                           // also a [sweep] knob of this name
+  void (*set)(Target&, const Value&);  // nullptr: read elsewhere
+  std::uint64_t lo = 0;                // integer range (kInt, kIntList)
+  std::uint64_t hi = kU64;
+};
+
+void set_blocks(Target& t, const Value& v) {
+  t.machine.delivery_blocks = v.count;
+}
+
+// Every INI key and sweep knob, described once. Rows apply in order: kind
+// before verify (kind = sweep turns verify off unless it is set), and
+// [fault] margin_db before the keys it would otherwise overwrite.
+constexpr Key kKeys[] = {
+    {"experiment", "kind", kString, false,
+     [](auto& t, auto& v) {
+       t.spec->workload = v.text;
+       if (v.text == kSweep) t.spec->verify = false;
+     }},
+    {"experiment", "workload", kString, false,
+     [](auto& t, auto& v) { t.workload = v.text; }},
+    {"experiment", "json", kBool, false, nullptr},  // psync_sim flags
+    {"experiment", "csv", kBool, false, nullptr},
+    {"experiment", "verify", kBool, false,
+     [](auto& t, auto& v) { t.spec->verify = v.flag; }},
+    {"experiment", "strict", kBool, false, nullptr},
+    {"experiment", "elements", kInt, false,
+     [](auto& t, auto& v) { t.spec->transpose_elements = v.u32(); }, 0, kU32},
+    {"experiment", "input_seed", kInt, false,
+     [](auto& t, auto& v) { t.spec->input_seed = v.count; }},
+    {"experiment", "threads", kInt, false,  // 0 means serial, as 1 does
+     [](auto& t, auto& v) {
+       t.spec->threads = std::max<std::size_t>(v.count, 1);
+     }},
+    {"experiment", "vary", kString, false,
+     [](auto& t, auto& v) { t.vary = v.text; }},
+    {"experiment", "values", kDoubleList, false,
+     [](auto& t, auto& v) { t.values = v.list; }},
+    {"experiment", "margins_db", kDoubleList, false,
+     [](auto& t, auto& v) { t.margins_db = v.list; }},
+    {"experiment", "journal", kString, false,
+     [](auto& t, auto& v) { t.spec->journal_path = v.text; }},
+
+    {"guard", "isolate", kBool, false,
+     [](auto& t, auto& v) { t.spec->guard.isolate = v.flag; }},
+    {"guard", "max_retries", kInt, false,
+     [](auto& t, auto& v) { t.spec->guard.max_retries = v.count; }},
+    {"guard", "point_timeout_ms", kDouble, false,
+     [](auto& t, auto& v) { t.spec->guard.point_timeout_ms = v.number; }},
+    {"guard", "retry_backoff_ms", kDouble, false,
+     [](auto& t, auto& v) { t.spec->guard.retry_backoff_ms = v.number; }},
+    // MiB; the OOM gate scales it to bytes, which must not wrap.
+    {"guard", "max_point_mb", kInt, false,
+     [](auto& t, auto& v) { t.spec->guard.max_point_mb = v.count; }, 0,
+     kU64 >> 20},
+
+    {"machine", kProcessors, kInt, true,
+     [](auto& t, auto& v) { t.machine.processors = v.count; }},
+    {"machine", "rows", kInt, true,
+     [](auto& t, auto& v) {
+       t.machine.matrix_rows = t.mesh.matrix_rows = v.count;
+     }},
+    {"machine", "cols", kInt, true,
+     [](auto& t, auto& v) {
+       t.machine.matrix_cols = t.mesh.matrix_cols = v.count;
+     }},
+    {"machine", "blocks", kInt, true, set_blocks, 1},
+    {nullptr, "k", kInt, true, set_blocks, 1},  // the fig11 name for blocks
+    {"machine", "waveguide_gbps", kDouble, true,
+     [](auto& t, auto& v) { t.machine.waveguide_gbps = v.number; }},
+    {"machine", "bus_length_cm", kDouble, true,
+     [](auto& t, auto& v) { t.machine.bus_length_cm = v.number; }},
+    {"machine", "dram_row_switch_cycles", kInt, false,
+     [](auto& t, auto& v) { t.machine.head.dram.row_switch_cycles = v.count; }},
+
+    {"mesh", "grid", kInt, true,
+     [](auto& t, auto& v) { t.mesh.grid = v.count; }, 0, kMaxGrid},
+    {"mesh", "t_p", kInt, true,
+     [](auto& t, auto& v) { t.mesh.mi.reorder_cycles_per_element = v.u32(); },
+     0, kU32},
+    {"mesh", "elements_per_packet", kInt, true,
+     [](auto& t, auto& v) { t.mesh.elements_per_packet = v.u32(); }, 0, kU32},
+    {"mesh", "overlap_stages", kBool, false,
+     [](auto& t, auto& v) { t.mesh.mi.overlap_stages = v.flag; }},
+    {"mesh", "buffer_depth", kInt, false,
+     [](auto& t, auto& v) { t.mesh.net.buffer_depth = v.u32(); }, 1,
+     mesh::kMaxBufferDepth},
+    {"mesh", "virtual_channels", kInt, true,
+     [](auto& t, auto& v) { t.mesh.net.virtual_channels = v.u32(); }, 1,
+     mesh::kMaxVirtualChannels},
+    {"mesh", "dram_row_switch_cycles", kInt, false,
+     [](auto& t, auto& v) { t.mesh.mi.dram.row_switch_cycles = v.count; }},
+
+    // Only the base BER follows the optical margin; the dead lanes, seed
+    // and time-varying profile stay as configured.
+    {"fault", kMarginDb, kDouble, true,
+     [](auto& t, auto& v) {
+       t.machine.fault.random_ber =
+           core::FaultModel::from_margin_db(v.number).random_ber;
+     }},
+    {"fault", "random_ber", kDouble, false,
+     [](auto& t, auto& v) { t.machine.fault.random_ber = v.number; }},
+    {"fault", "seed", kInt, false,
+     [](auto& t, auto& v) { t.machine.fault.seed = v.count; }},
+    {"fault", "dead_wavelengths", kIntList, false,
+     [](auto& t, auto& v) {
+       t.machine.fault.dead_wavelengths.assign(v.list.begin(), v.list.end());
+     },
+     0, kU32},
+    {"fault", "drift_ber_per_mword", kDouble, true,
+     [](auto& t, auto& v) { t.machine.fault.drift_ber_per_mword = v.number; }},
+    {"fault", "brownout_start_word", kInt, false,
+     [](auto& t, auto& v) { t.machine.fault.brownout_start_word = v.count; }},
+    {"fault", "brownout_words", kInt, false,
+     [](auto& t, auto& v) { t.machine.fault.brownout_words = v.count; }},
+    {"fault", "brownout_ber", kDouble, true,
+     [](auto& t, auto& v) { t.machine.fault.brownout_ber = v.number; }},
+
+    {"reliability", "policy", kString, false,
+     [](auto& t, auto& v) {
+       t.machine.reliability.policy = reliability::policy_from_string(v.text);
+     }},
+    {"reliability", "block_words", kInt, false,
+     [](auto& t, auto& v) { t.machine.reliability.block_words = v.count; }},
+    {"reliability", "max_retries", kInt, false,
+     [](auto& t, auto& v) { t.machine.reliability.max_retries = v.count; }},
+    {"reliability", "backoff_slots", kInt, false,
+     [](auto& t, auto& v) {
+       t.machine.reliability.retry_backoff_slots = v.count;
+     }},
+    {"reliability", "spare_lanes", kInt, false,
+     [](auto& t, auto& v) { t.machine.reliability.spare_lanes = v.count; }},
+    {"reliability", "training_words", kInt, false,
+     [](auto& t, auto& v) { t.machine.reliability.training_words = v.count; }},
+
+    // The fig13 workload reads it from the point's knob list.
+    {nullptr, "cores", kInt, true, nullptr, 1},
+};
+
+// The one range rule for every integer, from an INI `section` or, when
+// that is null, a sweep knob. Cast straight to an unsigned field, a
+// negative, fractional or oversized value would wrap or truncate, and the
+// run would report a value it never simulated. long double holds every
+// int64 and uint64 exactly.
+static_assert(std::numeric_limits<long double>::digits >= 64);
+std::uint64_t count(const char* section, const std::string& name,
+                    long double value, const Key& key) {
+  if (!(value >= key.lo && value <= key.hi) || std::floor(value) != value) {
+    char got[48];
+    std::snprintf(got, sizeof(got), "%.17Lg", value);
+    throw ConfigError(
+        (section != nullptr ? "'" + std::string(section) + "." + name + "'"
+                            : "knob '" + name + "'") +
+        " must be an integer in [" + std::to_string(key.lo) + ", " +
+        std::to_string(key.hi) + "]; got " + got);
   }
-  return static_cast<UInt>(value);
+  return static_cast<std::uint64_t>(value);
+}
+
+// `key`'s value in `cfg`, read by the INI accessor for its type: the rule
+// the schema checks, so a value it calls bad is a ConfigError naming the
+// key here too.
+Value read(const IniConfig& cfg, const Key& key, const std::string& name) {
+  const char* s = key.section;  // fits std::string's inline buffer
+  Value v;
+  if (key.type == kString) v.text = cfg.get_string(s, name, "");
+  if (key.type == kBool) v.flag = cfg.get_bool(s, name, false);
+  if (key.type == kDouble) v.number = cfg.get_double(s, name, 0.0);
+  if (key.type == kInt) v.count = count(s, name, cfg.get_int(s, name, 0), key);
+  if (key.type == kDoubleList) v.list = cfg.get_doubles(s, name);
+  if (key.type == kIntList) {
+    for (const std::int64_t item : cfg.get_ints(s, name)) {
+      v.list.push_back(static_cast<double>(count(s, name, item, key)));
+    }
+  }
+  return v;
 }
 
 }  // namespace
@@ -39,262 +236,67 @@ UInt count_knob(const std::string& knob, double value, UInt lo = 0,
 bool apply_knob(const std::string& knob, double value,
                 core::PsyncMachineParams* machine,
                 core::MeshMachineParams* mesh) {
-  if (knob == "processors") {
-    machine->processors = count_knob<std::size_t>(knob, value);
-  } else if (knob == "blocks" || knob == "k") {
-    machine->delivery_blocks = count_knob<std::size_t>(knob, value);
-  } else if (knob == "rows") {
-    machine->matrix_rows = count_knob<std::size_t>(knob, value);
-    mesh->matrix_rows = machine->matrix_rows;
-  } else if (knob == "cols") {
-    machine->matrix_cols = count_knob<std::size_t>(knob, value);
-    mesh->matrix_cols = machine->matrix_cols;
-  } else if (knob == "waveguide_gbps") {
-    machine->waveguide_gbps = value;
-  } else if (knob == "bus_length_cm") {
-    machine->bus_length_cm = value;
-  } else if (knob == "margin_db") {
-    // Rebuild the fault model from optical margin; keep the configured
-    // dead lanes, injection seed and time-varying profile so only the
-    // base BER moves with the axis.
-    core::FaultModel fault =
-        core::FaultModel::from_margin_db(value, machine->fault.seed);
-    fault.dead_wavelengths = machine->fault.dead_wavelengths;
-    fault.drift_ber_per_mword = machine->fault.drift_ber_per_mword;
-    fault.brownout_start_word = machine->fault.brownout_start_word;
-    fault.brownout_words = machine->fault.brownout_words;
-    fault.brownout_ber = machine->fault.brownout_ber;
-    machine->fault = fault;
-  } else if (knob == "drift_ber_per_mword") {
-    machine->fault.drift_ber_per_mword = value;
-  } else if (knob == "brownout_ber") {
-    machine->fault.brownout_ber = value;
-  } else if (knob == "grid") {
-    mesh->grid = count_knob<std::size_t>(knob, value, 0, kMaxGrid);
-  } else if (knob == "t_p") {
-    mesh->mi.reorder_cycles_per_element = count_knob<std::uint32_t>(knob, value);
-  } else if (knob == "elements_per_packet") {
-    mesh->elements_per_packet = count_knob<std::uint32_t>(knob, value);
-  } else if (knob == "virtual_channels") {
-    mesh->net.virtual_channels =
-        count_knob<std::uint32_t>(knob, value, 1,
-                                  psync::mesh::kMaxVirtualChannels);
-  } else if (knob == "cores") {
-    // Consumed by the fig13 workload straight from the knob list; nothing
-    // to write into the machine blocks.
-  } else {
-    return false;
-  }
+  const auto key =
+      std::find_if(std::begin(kKeys), std::end(kKeys),
+                   [&knob](const Key& k) { return k.knob && knob == k.name; });
+  if (key == std::end(kKeys)) return false;
+  Value v;
+  v.number = value;
+  if (key->type == kInt) v.count = count(nullptr, knob, value, *key);
+  Target target{*machine, *mesh, nullptr};
+  if (key->set != nullptr) key->set(target, v);
   return true;
 }
 
 std::vector<std::string> known_knobs() {
-  return {"processors",     "blocks",        "k",
-          "rows",           "cols",          "waveguide_gbps",
-          "bus_length_cm",  "margin_db",     "drift_ber_per_mword",
-          "brownout_ber",   "grid",
-          "t_p",            "elements_per_packet", "virtual_channels",
-          "cores"};
-}
-
-namespace {
-
-std::vector<double> parse_values(const std::string& list) {
-  std::vector<double> out;
-  std::istringstream in(list);
-  double v = 0.0;
-  while (in >> v) out.push_back(v);
+  std::vector<std::string> out;
+  for (const Key& key : kKeys) {
+    if (key.knob) out.emplace_back(key.name);
+  }
   return out;
 }
 
-core::PsyncMachineParams machine_from_config(const IniConfig& cfg) {
-  core::PsyncMachineParams p;
-  p.processors =
-      static_cast<std::size_t>(cfg.get_int("machine", "processors", 16));
-  p.matrix_rows = static_cast<std::size_t>(cfg.get_int("machine", "rows", 64));
-  p.matrix_cols = static_cast<std::size_t>(cfg.get_int("machine", "cols", 64));
-  p.delivery_blocks =
-      static_cast<std::size_t>(cfg.get_int("machine", "blocks", 1));
-  p.waveguide_gbps = cfg.get_double("machine", "waveguide_gbps", 320.0);
-  p.bus_length_cm = cfg.get_double("machine", "bus_length_cm", 8.0);
-  p.head.dram.row_switch_cycles = static_cast<std::uint64_t>(
-      cfg.get_int("machine", "dram_row_switch_cycles", 0));
-
-  if (cfg.has_section("fault")) {
-    if (cfg.has("fault", "margin_db")) {
-      p.fault = core::FaultModel::from_margin_db(
-          cfg.get_double("fault", "margin_db", 0.0));
-    }
-    p.fault.random_ber = cfg.get_double("fault", "random_ber", p.fault.random_ber);
-    p.fault.seed = static_cast<std::uint64_t>(cfg.get_int("fault", "seed", 1));
-    std::istringstream lanes(cfg.get_string("fault", "dead_wavelengths", ""));
-    std::uint32_t lane = 0;
-    while (lanes >> lane) p.fault.dead_wavelengths.push_back(lane);
-    p.fault.drift_ber_per_mword =
-        cfg.get_double("fault", "drift_ber_per_mword", 0.0);
-    p.fault.brownout_start_word = static_cast<std::uint64_t>(
-        cfg.get_int("fault", "brownout_start_word", 0));
-    p.fault.brownout_words =
-        static_cast<std::uint64_t>(cfg.get_int("fault", "brownout_words", 0));
-    p.fault.brownout_ber = cfg.get_double("fault", "brownout_ber", 0.0);
-  }
-  if (cfg.has_section("reliability")) {
-    auto& r = p.reliability;
-    r.policy = reliability::policy_from_string(
-        cfg.get_string("reliability", "policy", "off"));
-    r.block_words =
-        static_cast<std::size_t>(cfg.get_int("reliability", "block_words", 64));
-    r.max_retries =
-        static_cast<std::size_t>(cfg.get_int("reliability", "max_retries", 4));
-    r.retry_backoff_slots = static_cast<std::size_t>(
-        cfg.get_int("reliability", "backoff_slots", 8));
-    r.spare_lanes =
-        static_cast<std::size_t>(cfg.get_int("reliability", "spare_lanes", 4));
-    r.training_words = static_cast<std::size_t>(
-        cfg.get_int("reliability", "training_words", 16));
-  }
-  return p;
-}
-
-core::MeshMachineParams mesh_from_config(const IniConfig& cfg,
-                                         const core::PsyncMachineParams& mp) {
-  // Each [mesh] integer goes through the sweep knobs' range check.
-  const auto count = [&cfg](const char* key, std::int64_t fallback) {
-    return static_cast<double>(cfg.get_int("mesh", key, fallback));
-  };
-  core::MeshMachineParams m;
-  m.grid = count_knob<std::size_t>("grid", count("grid", 4), 0, kMaxGrid);
-  m.matrix_rows = mp.matrix_rows;
-  m.matrix_cols = mp.matrix_cols;
-  m.elements_per_packet = count_knob<std::uint32_t>(
-      "elements_per_packet", count("elements_per_packet", 32));
-  m.mi.reorder_cycles_per_element =
-      count_knob<std::uint32_t>("t_p", count("t_p", 1));
-  m.mi.overlap_stages = cfg.get_bool("mesh", "overlap_stages", false);
-  m.net.buffer_depth = count_knob<std::uint32_t>(
-      "buffer_depth", count("buffer_depth", 2), 1, mesh::kMaxBufferDepth);
-  m.net.virtual_channels = count_knob<std::uint32_t>(
-      "virtual_channels", count("virtual_channels", 1), 1,
-      mesh::kMaxVirtualChannels);
-  m.mi.dram.row_switch_cycles = count_knob<std::uint64_t>(
-      "dram_row_switch_cycles", count("dram_row_switch_cycles", 0));
-  return m;
-}
-
-}  // namespace
-
 ExperimentSpec spec_from_config(const IniConfig& cfg) {
   ExperimentSpec spec;
-  spec.machine = machine_from_config(cfg);
-  spec.mesh = mesh_from_config(cfg, spec.machine);
+  // A config's DRAMs switch rows for free unless it says otherwise.
+  spec.machine.head.dram.row_switch_cycles = 0;
+  spec.mesh.mi.dram.row_switch_cycles = 0;
   spec.with_mesh = cfg.has_section("mesh");
-  spec.verify = cfg.get_bool("experiment", "verify", true);
-  spec.transpose_elements =
-      static_cast<std::uint32_t>(cfg.get_int("experiment", "elements", 256));
-  spec.input_seed =
-      static_cast<std::uint64_t>(cfg.get_int("experiment", "input_seed", 2026));
-  spec.threads =
-      static_cast<std::size_t>(cfg.get_int("experiment", "threads", 1));
-  if (spec.threads == 0) spec.threads = 1;
-  spec.journal_path = cfg.get_string("experiment", "journal", "");
-
-  if (cfg.has_section("guard")) {
-    auto& g = spec.guard;
-    g.isolate = cfg.get_bool("guard", "isolate", g.isolate);
-    g.max_retries =
-        static_cast<std::size_t>(cfg.get_int("guard", "max_retries", 1));
-    g.point_timeout_ms = cfg.get_double("guard", "point_timeout_ms", 0.0);
-    g.retry_backoff_ms = cfg.get_double("guard", "retry_backoff_ms", 5.0);
-    g.max_point_mb =
-        static_cast<std::size_t>(cfg.get_int("guard", "max_point_mb", 0));
+  Target target{spec.machine, spec.mesh, &spec};
+  for (const Key& key : kKeys) {
+    if (key.section == nullptr) continue;
+    const std::string name = key.name;
+    if (!cfg.has(key.section, name)) continue;
+    const Value v = read(cfg, key, name);  // checked even when read elsewhere
+    if (key.set != nullptr) key.set(target, v);
   }
 
-  const std::string kind = cfg.get_string("experiment", "kind", "fft2d");
-  if (kind == "sweep") {
-    // Legacy single-knob sweep of the 2D FFT machine.
-    spec.workload = cfg.get_string("experiment", "workload", "fft2d");
-    spec.verify = cfg.get_bool("experiment", "verify", false);
-    const std::string vary =
-        cfg.get_string("experiment", "vary", "processors");
-    const auto values =
-        parse_values(cfg.get_string("experiment", "values", ""));
-    if (!values.empty()) spec.axes.push_back({vary, values});
-  } else if (kind == "reliability_sweep") {
+  if (spec.workload == kSweep) {  // one knob, the 2D FFT machine
+    spec.workload = target.workload;
+    if (!target.values.empty()) {
+      spec.axes.push_back({target.vary, std::move(target.values)});
+    }
+  } else if (spec.workload == "reliability_sweep") {
+    if (target.margins_db.empty()) {
+      throw ConfigError("reliability_sweep: missing 'margins_db' list");
+    }
     spec.workload = "reliability";
-    const auto margins =
-        parse_values(cfg.get_string("experiment", "margins_db", ""));
-    if (margins.empty()) {
-      throw SimulationError("reliability_sweep: missing 'margins_db' list");
-    }
-    spec.axes.push_back({"margin_db", margins});
-  } else {
-    spec.workload = kind;
+    spec.axes.push_back({kMarginDb, std::move(target.margins_db)});
   }
 
-  // Multi-knob grid: every key in [sweep] is an axis, in file order.
-  if (cfg.has_section("sweep")) {
-    for (const auto& knob : cfg.keys("sweep")) {
-      const auto values = parse_values(cfg.get_string("sweep", knob, ""));
-      if (values.empty()) {
-        throw SimulationError("sweep axis '" + knob + "' has no values");
-      }
-      spec.axes.push_back({knob, values});
-    }
+  // Multi-knob grid: every key in [sweep] is an axis, in file order. Each
+  // value passes its knob's check as a point applies it.
+  for (const auto& knob : cfg.keys(kSweep)) {
+    spec.axes.push_back({knob, cfg.get_doubles(kSweep, knob)});
   }
   return spec;
 }
 
 ConfigSchema sim_config_schema() {
-  using Type = ConfigSchema::Type;
   ConfigSchema s;
-  s.key("experiment", "kind", Type::kString)
-      .key("experiment", "workload", Type::kString)
-      .key("experiment", "json", Type::kBool)
-      .key("experiment", "csv", Type::kBool)
-      .key("experiment", "verify", Type::kBool)
-      .key("experiment", "strict", Type::kBool)
-      .key("experiment", "elements", Type::kInt)
-      .key("experiment", "input_seed", Type::kInt)
-      .key("experiment", "threads", Type::kInt)
-      .key("experiment", "vary", Type::kString)
-      .key("experiment", "values", Type::kDoubleList)
-      .key("experiment", "margins_db", Type::kDoubleList)
-      .key("experiment", "journal", Type::kString);
-  s.key("guard", "isolate", Type::kBool)
-      .key("guard", "max_retries", Type::kInt)
-      .key("guard", "point_timeout_ms", Type::kDouble)
-      .key("guard", "retry_backoff_ms", Type::kDouble)
-      .key("guard", "max_point_mb", Type::kInt);
-  s.key("machine", "processors", Type::kInt)
-      .key("machine", "rows", Type::kInt)
-      .key("machine", "cols", Type::kInt)
-      .key("machine", "blocks", Type::kInt)
-      .key("machine", "waveguide_gbps", Type::kDouble)
-      .key("machine", "bus_length_cm", Type::kDouble)
-      .key("machine", "dram_row_switch_cycles", Type::kInt);
-  s.key("mesh", "grid", Type::kInt)
-      .key("mesh", "t_p", Type::kInt)
-      .key("mesh", "elements_per_packet", Type::kInt)
-      .key("mesh", "overlap_stages", Type::kBool)
-      .key("mesh", "buffer_depth", Type::kInt)
-      .key("mesh", "virtual_channels", Type::kInt)
-      .key("mesh", "dram_row_switch_cycles", Type::kInt);
-  s.key("fault", "margin_db", Type::kDouble)
-      .key("fault", "random_ber", Type::kDouble)
-      .key("fault", "seed", Type::kInt)
-      .key("fault", "dead_wavelengths", Type::kIntList)
-      .key("fault", "drift_ber_per_mword", Type::kDouble)
-      .key("fault", "brownout_start_word", Type::kInt)
-      .key("fault", "brownout_words", Type::kInt)
-      .key("fault", "brownout_ber", Type::kDouble);
-  s.key("reliability", "policy", Type::kString)
-      .key("reliability", "block_words", Type::kInt)
-      .key("reliability", "max_retries", Type::kInt)
-      .key("reliability", "backoff_slots", Type::kInt)
-      .key("reliability", "spare_lanes", Type::kInt)
-      .key("reliability", "training_words", Type::kInt);
-  for (const auto& knob : known_knobs()) {
-    s.key("sweep", knob, Type::kDoubleList);
+  for (const Key& key : kKeys) {
+    if (key.section != nullptr) s.key(key.section, key.name, key.type);
+    if (key.knob) s.key(kSweep, key.name, kDoubleList);
   }
   return s;
 }

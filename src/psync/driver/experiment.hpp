@@ -95,8 +95,8 @@ struct ExperimentSpec {
 
   /// Per-point isolation / watchdog / retry policy.
   GuardParams guard;
-  /// Checkpoint journal path (empty = no journal): every finished point is
-  /// appended as one fsync'd JSONL line as it completes.
+  /// Checkpoint journal (empty = none; the file is journal_file() of it):
+  /// every finished point is appended as one fsync'd JSONL line.
   std::string journal_path;
   /// Resume: skip points already recorded in `journal_path` and splice
   /// their journaled results back into grid order, so a killed sweep plus
@@ -178,13 +178,9 @@ std::uint64_t point_digest(const std::string& workload, const RunPoint& pt);
 /// FNV-1a over raw bytes — the one hash both digests reduce through.
 std::uint64_t fnv1a64(const std::string& bytes);
 
-/// Apply one sweep knob to the parameter blocks. Returns false for an
-/// unknown knob name. Knobs: processors, blocks, rows, cols,
-/// waveguide_gbps, bus_length_cm, margin_db (rebuilds machine.fault from
-/// optical margin, preserving configured dead lanes, seed and the
-/// time-varying profile), drift_ber_per_mword, brownout_ber, grid, t_p,
-/// elements_per_packet, virtual_channels, k, cores (the last two are
-/// aliases used by the fig11/fig13 analysis workloads: k = blocks).
+/// Apply one sweep knob to the parameter blocks, through the same setter
+/// and range check as the INI key of that name (experiment.cpp's key
+/// table). Returns false for an unknown knob name.
 bool apply_knob(const std::string& knob, double value,
                 core::PsyncMachineParams* machine,
                 core::MeshMachineParams* mesh);
@@ -192,16 +188,14 @@ bool apply_knob(const std::string& knob, double value,
 /// Every knob name apply_knob accepts.
 std::vector<std::string> known_knobs();
 
-/// Build a spec from a psync_sim INI config (see tools/psync_sim.cpp for
-/// the format). Legacy kinds map onto the registry: `kind = sweep` becomes
-/// the fft2d workload with a [experiment] vary/values axis, and
-/// `kind = reliability_sweep` becomes the reliability workload with a
-/// margin_db axis from margins_db. A [sweep] section declares multi-knob
-/// grids: every `knob = v0 v1 ...` line is one axis.
+/// Build a spec from a psync_sim INI config through experiment.cpp's key
+/// table; a value its type or range rejects is a ConfigError naming the
+/// key. `kind = sweep` is fft2d with a vary/values axis, `kind =
+/// reliability_sweep` the reliability workload with a margin_db axis from
+/// margins_db, and every [sweep] line `knob = v0 v1 ...` is one axis.
 ExperimentSpec spec_from_config(const IniConfig& cfg);
 
-/// The full section/key schema psync_sim configs are validated against
-/// (strict-mode diagnostics).
+/// The key table as a schema: psync_sim's warnings and --strict errors.
 ConfigSchema sim_config_schema();
 
 }  // namespace psync::driver

@@ -262,10 +262,11 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   // shard window are still validated and spliced, they just don't count
   // toward this run's campaign.
   RecordTable table(points, spec.workload);
+  const std::string journal_path = journal_file(spec.journal_path);
   std::size_t resumed = 0;
   if (spec.resume) {
-    PSYNC_CHECK(!spec.journal_path.empty());  // rejected by freeze()
-    for (const std::size_t idx : table.replay(spec.journal_path)) {
+    PSYNC_CHECK(!journal_path.empty());  // rejected by freeze()
+    for (const std::size_t idx : table.replay(journal_path)) {
       if (idx < begin || idx >= end) continue;
       ++resumed;
       note_point(c, idx, table[idx], CampaignEvent::Source::kResume);
@@ -273,8 +274,8 @@ void Session::execute(const FrozenSpec& frozen, PointCache* cache,
   }
 
   JournalWriter journal;
-  if (!spec.journal_path.empty()) {
-    journal.open(spec.journal_path, /*keep_existing=*/spec.resume);
+  if (!journal_path.empty()) {
+    journal.open(journal_path, /*keep_existing=*/spec.resume);
   }
 
   // Leader-quarantined points: record the verdict without executing, and

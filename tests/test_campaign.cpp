@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -397,6 +398,24 @@ TEST(PointGuard, OomEstimateGateRefusesOversizedPoints) {
   const auto result = Runner::run(spec);
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_EQ(result.records[0].status, PointStatus::kFailed);
+  ASSERT_TRUE(result.records[0].failure.has_value());
+  EXPECT_EQ(result.records[0].failure->kind,
+            FailureKind::kOomEstimateExceeded);
+}
+
+// Regression: the estimate multiplied in unchecked size_t, so a 2^30 x 2^30
+// matrix wrapped to 0 bytes, passed a 512 MiB gate and then died allocating.
+TEST(PointGuard, OomEstimateSaturatesInsteadOfWrapping) {
+  ExperimentSpec spec;
+  spec.workload = "fft2d";
+  spec.machine.matrix_rows = std::size_t{1} << 30;
+  spec.machine.matrix_cols = std::size_t{1} << 30;
+  spec.guard.max_point_mb = 512;
+  RunPoint point;
+  point.machine = spec.machine;
+  EXPECT_EQ(estimate_point_bytes(spec.workload, point), SIZE_MAX);
+  const auto result = Runner::run(spec);
+  ASSERT_EQ(result.records.size(), 1u);
   ASSERT_TRUE(result.records[0].failure.has_value());
   EXPECT_EQ(result.records[0].failure->kind,
             FailureKind::kOomEstimateExceeded);

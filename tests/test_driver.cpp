@@ -12,6 +12,7 @@
 #include "psync/common/config.hpp"
 #include "psync/core/mesh_machine.hpp"
 #include "psync/driver/runner.hpp"
+#include "psync/driver/sweep.hpp"
 #include "psync/fft/plan_cache.hpp"
 
 namespace psync::driver {
@@ -145,6 +146,11 @@ TEST(SweepEngine, ApplyKnobRejectsNonIntegerCounts) {
   EXPECT_THROW((void)apply_knob("virtual_channels", 17.0, &m, &mm),
                ConfigError);
   EXPECT_THROW((void)apply_knob("grid", 65536.0, &m, &mm), ConfigError);
+  // fig11/fig13 read k and cores straight from the knob list: k = 0 died
+  // with SIGFPE, and cores = -1 or 2.5 ran a cast-mangled core count.
+  EXPECT_THROW((void)apply_knob("k", 0.0, &m, &mm), ConfigError);
+  EXPECT_THROW((void)apply_knob("cores", -1.0, &m, &mm), ConfigError);
+  EXPECT_THROW((void)apply_knob("cores", 2.5, &m, &mm), ConfigError);
   // Exact integral values still apply.
   EXPECT_TRUE(apply_knob("processors", 16.0, &m, &mm));
   EXPECT_EQ(m.processors, 16u);
@@ -152,38 +158,116 @@ TEST(SweepEngine, ApplyKnobRejectsNonIntegerCounts) {
   EXPECT_EQ(mm.mi.reorder_cycles_per_element, 4u);
 }
 
-// Regression: [mesh] config integers used to be cast straight to unsigned.
+// Regression: config integers used to be cast straight to unsigned.
 // buffer_depth = -1 then spun forever, elements_per_packet = 0 died with
-// SIGFPE, grid = -1 ran a 1x1 mesh, values past 2^32 wrapped, and t_p = -1
-// ran into the cycle cap. Each row must be a ConfigError naming the key,
-// raised by the time the machine is built — before any cycle is stepped.
-// (The last row used to crash the process, so it stays last.)
+// SIGFPE, grid = -1 ran a 1x1 mesh, values past 2^32 wrapped, t_p = -1 ran
+// into the cycle cap, and outside [mesh] threads = -2, elements = 2^32,
+// spare_lanes = -1 and max_point_mb = -1 ran with a wrapped value. Each row
+// must be a ConfigError naming the key, raised by the time the machine is
+// built — before any cycle is stepped. (The last row used to crash the
+// process, so it stays last.)
 TEST(SpecFromConfig, OutOfRangeMeshIntegersAreConfigErrors) {
   struct Row {
+    const char* section;
     const char* key;
     const char* value;
   };
   const Row rows[] = {
-      {"buffer_depth", "-1"},
-      {"elements_per_packet", "0"},
-      {"grid", "-1"},
-      {"virtual_channels", "4294967297"},
-      {"buffer_depth", "4294967298"},
-      {"t_p", "-1"},
-      {"grid", "4294967296"},  // grid^2 wraps to 0 processors: SIGFPE
+      {"experiment", "elements", "4294967296"},
+      {"experiment", "elements", "-1"},
+      {"experiment", "input_seed", "-1"},
+      {"experiment", "threads", "-2"},
+      {"guard", "max_retries", "-1"},
+      {"guard", "max_point_mb", "-1"},
+      {"guard", "max_point_mb", "17592186044416"},  // 2^44 MiB: bytes wrap
+      {"machine", "processors", "-1"},
+      {"machine", "rows", "-1"},
+      {"machine", "cols", "-1"},
+      {"machine", "blocks", "-1"},
+      {"machine", "dram_row_switch_cycles", "-1"},
+      {"mesh", "dram_row_switch_cycles", "-1"},
+      {"mesh", "elements_per_packet", "4294967296"},
+      {"mesh", "t_p", "4294967296"},
+      {"fault", "seed", "-1"},
+      {"fault", "dead_wavelengths", "3 -1"},
+      {"fault", "dead_wavelengths", "4294967296"},
+      {"fault", "brownout_start_word", "-1"},
+      {"fault", "brownout_words", "-1"},
+      {"reliability", "block_words", "-1"},
+      {"reliability", "max_retries", "-1"},
+      {"reliability", "backoff_slots", "-1"},
+      {"reliability", "spare_lanes", "-1"},
+      {"reliability", "training_words", "-1"},
+      {"mesh", "buffer_depth", "-1"},
+      {"mesh", "elements_per_packet", "0"},
+      {"mesh", "grid", "-1"},
+      {"mesh", "virtual_channels", "4294967297"},
+      {"mesh", "buffer_depth", "4294967298"},
+      {"mesh", "t_p", "-1"},
+      {"mesh", "grid", "4294967296"},  // grid^2 wraps to 0 processors: SIGFPE
   };
   for (const Row& row : rows) {
     const std::string text = std::string("[experiment]\nkind = transpose\n") +
-                             "[mesh]\n" + row.key + " = " + row.value + "\n";
+                             "[" + row.section + "]\n" + row.key + " = " +
+                             row.value + "\n";
     try {
       const ExperimentSpec spec = spec_from_config(IniConfig::parse(text));
       const core::MeshMachine machine(spec.mesh);
-      ADD_FAILURE() << row.key << " = " << row.value << " was accepted";
+      ADD_FAILURE() << row.section << "." << row.key << " = " << row.value
+                    << " was accepted";
     } catch (const ConfigError& e) {
       EXPECT_NE(std::string(e.what()).find(row.key), std::string::npos)
           << e.what();
     }
   }
+}
+
+// Every key the schema declares, fed hostile values: the only allowed
+// outcomes are a run-ready spec holding the value as written, or a
+// ConfigError naming the key — never another exception, a silently wrapped
+// count, or a value the schema calls bad. [sweep] knobs are range-checked
+// as each point applies them, so the grid is expanded too.
+TEST(SpecFromConfig, HostileValuesForEveryKeyAreConfigErrors) {
+  const ConfigSchema schema = sim_config_schema();
+  const auto& sections = schema.keys();
+  // A [sweep] knob counts like the INI key of the same name.
+  const auto integral = [&sections](const std::string& key) {
+    for (const auto& [section, keys] : sections) {
+      const auto it = keys.find(key);
+      if (it != keys.end() && (it->second == ConfigSchema::Type::kInt ||
+                               it->second == ConfigSchema::Type::kIntList)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const std::string hostile[] = {"-1",  "4294967296", "18446744073709551616",
+                                 "1.5", "x",          "4 x 8"};
+  std::size_t rejected = 0;
+  for (const auto& [section, keys] : sections) {
+    for (const auto& [key, type] : keys) {
+      for (const std::string& value : hostile) {
+        const IniConfig cfg =
+            IniConfig::parse("[" + section + "]\n" + key + " = " + value);
+        const bool schema_bad = !schema.validate(cfg).empty();
+        // Only 2^32 fits some integer keys (the 64-bit counts and seeds).
+        const bool must_reject =
+            schema_bad || (integral(key) && value != "4294967296");
+        const std::string what = section + "." + key + " = " + value;
+        try {
+          (void)SweepEngine::expand(spec_from_config(cfg));
+          EXPECT_FALSE(must_reject) << what << " was accepted";
+        } catch (const ConfigError& e) {
+          ++rejected;
+          EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+              << what << ": " << e.what();
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << what << ": untyped " << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(SweepEngine, MapUsesThePoolAndPreservesOrder) {

@@ -219,6 +219,30 @@ TEST(Session, RunMatchesRunnerByteForByte) {
   EXPECT_EQ(driver::sweep_csv(via_session), driver::sweep_csv(via_runner));
 }
 
+// Regression: a transpose whose elements per node are not a multiple of
+// the packet size aborted the process (and a daemon serving it) on an
+// internal check, and so did a mesh fft2d whose per-processor block is
+// not. Each is a config_invalid point now, from an INI key or a sweep knob
+// alike.
+TEST(Session, TransposeWithPartialPacketsFailsAsConfigInvalid) {
+  for (const char* ini :
+       {"[experiment]\nkind = transpose\nelements = 7\n"
+        "[mesh]\ngrid = 2\n",
+        "[experiment]\nkind = transpose\nelements = 32\n"
+        "[mesh]\ngrid = 2\n[sweep]\nelements_per_packet = 7\n",
+        "[experiment]\nkind = fft2d\n[machine]\nprocessors = 4\nrows = 16\n"
+        "cols = 16\n[mesh]\ngrid = 2\nelements_per_packet = 7\n"}) {
+    Session session;
+    const SweepResult result =
+        session.run(driver::spec_from_config(IniConfig::parse(ini)));
+    ASSERT_EQ(result.records.size(), 1u) << ini;
+    const auto& rec = result.records.front();
+    EXPECT_EQ(rec.status, driver::PointStatus::kFailed) << ini;
+    ASSERT_TRUE(rec.failure.has_value()) << ini;
+    EXPECT_EQ(rec.failure->kind, driver::FailureKind::kConfigInvalid) << ini;
+  }
+}
+
 TEST(Session, SubmitStreamsEventsAndProgress) {
   Session session;
   auto handle = session.submit(small_spec());

@@ -63,8 +63,8 @@
 //   psync_sim --list          # list registered workload kinds
 //
 // Crash-safe campaigns: --journal appends every finished point to an
-// fsync'd JSONL checkpoint (also `journal = PATH` under [experiment]);
-// --resume PATH skips the points already in that journal and reconstitutes
+// fsync'd JSONL checkpoint (also `journal = PATH` under [experiment]) at
+// PATH.jsonl unless PATH already ends in .jsonl; --resume PATH skips the points already in that journal and reconstitutes
 // them, rendering byte-identical output to an uninterrupted run. Failed or
 // quarantined points are reported in the campaign summary (stderr) and in
 // the JSON/CSV status columns.
